@@ -17,22 +17,22 @@
 //
 // --min_qps > 0 turns the run into a gate: exit 1 when achieved QPS falls
 // below it (what the CI perf job pins). The BENCH_serve.json run report
-// carries the serve.client.seconds histogram for ppdp_benchstat diffing.
+// carries the serve.client.seconds histogram for `ppdp_stat bench` diffing.
 //
 // Every request carries a client-generated W3C traceparent header; the
 // server must echo a response traceparent with the same trace id (echo
 // mismatches fail the run). --access_log PATH additionally makes the
 // in-process daemon write its ppdp.access.v1 JSONL log, which the bench
-// reads back at the end into a server-side per-stage latency table
-// (serve_stage_breakdown) — the same numbers ppdp_tracestat aggregates.
+// reads back at the end, through the strict access-log reader, into a
+// server-side per-stage latency table (serve_stage_breakdown) — the same
+// numbers `ppdp_stat trace` aggregates. A malformed line fails the run.
 //
 // The in-process daemon always runs its SLO engine (--slo_config loads a
 // ppdp.slo.v1 rule file; defaults otherwise). After the load completes the
 // bench queries the live attainment, prints a serve_slo table, and records
-// the rows into the run report's "slos" stanza — ppdp_benchstat prints
+// the rows into the run report's "slos" stanza — `ppdp_stat bench` prints
 // them informationally and never gates on them.
 #include <atomic>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   // Client-observed latency (connect + request + response). Bounds mirror
   // the server-side serve.request.seconds histogram so the two line up in
-  // benchstat diffs.
+  // `ppdp_stat bench` diffs.
   ppdp::obs::Histogram& latency = ppdp::obs::MetricsRegistry::Global().histogram(
       "serve.client.seconds",
       {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
 
   // Live SLO attainment over the run's windows, straight from the daemon's
   // engine — the same rows /sloz would serve. Recorded into the report's
-  // "slos" stanza (informational in ppdp_benchstat diffs).
+  // "slos" stanza (informational in `ppdp_stat bench` diffs).
   (*app)->slo().Evaluate();
   const std::vector<ppdp::obs::SloAttainment> slos = (*app)->slo().Attainment();
   ppdp::Table slo_table({"rule", "signal", "tenant", "objective", "attained", "verdict"});
@@ -236,42 +236,25 @@ int main(int argc, char** argv) {
   (*app)->Stop();
 
   // Server-side view: fold the access log's per-stage micros into the same
-  // breakdown ppdp_tracestat prints, so a bench run shows where request
-  // time went without a second tool invocation.
+  // breakdown `ppdp_stat trace` prints, so a bench run shows where request
+  // time went without a second tool invocation. The log is read strictly:
+  // one malformed or foreign line fails the run.
   if (!access_log.empty()) {
-    struct StageAgg {
-      uint64_t count = 0;
-      double total_micros = 0.0;
-    };
-    std::map<std::string, StageAgg> stage_stats;
-    uint64_t logged = 0;
-    std::ifstream log_file(access_log);
-    std::string line;
-    while (std::getline(log_file, line)) {
-      if (line.empty()) continue;
-      auto doc = ppdp::JsonValue::Parse(line);
-      if (!doc.ok() || doc->GetStringOr("schema", "") != "ppdp.access.v1") continue;
-      ++logged;
-      StageAgg& whole = stage_stats["total"];
-      ++whole.count;
-      whole.total_micros += doc->GetNumberOr("total_micros", 0.0);
-      const ppdp::JsonValue* stages = doc->Find("stages");
-      if (stages == nullptr || !stages->is_object()) continue;
-      for (const auto& [stage, micros] : stages->members()) {
-        if (!micros.is_number()) continue;
-        StageAgg& agg = stage_stats[stage];
-        ++agg.count;
-        agg.total_micros += micros.as_number();
-      }
+    auto records = ppdp::serve::LoadAccessLog(access_log);
+    if (!records.ok()) {
+      std::cerr << "bench_serve: " << records.status().ToString() << "\n";
+      return 1;
     }
+    ppdp::serve::StageBreakdown breakdown;
+    for (const ppdp::serve::RequestRecord& record : *records) breakdown.Add(record);
     ppdp::Table stage_table({"stage", "count", "mean ms"});
-    for (const auto& [stage, agg] : stage_stats) {
-      stage_table.AddRow({stage, std::to_string(agg.count),
-                          ppdp::Table::FormatDouble(
-                              agg.count > 0 ? agg.total_micros / (1e3 * agg.count) : 0.0, 3)});
+    for (const auto& [stage, stats] : breakdown.stages) {
+      stage_table.AddRow({stage, std::to_string(stats.count),
+                          ppdp::Table::FormatDouble(stats.mean_micros() / 1e3, 3)});
     }
     env.Emit(stage_table, "serve_stage_breakdown",
-             "server-side per-stage latency (" + std::to_string(logged) + " logged requests)");
+             "server-side per-stage latency (" + std::to_string(records->size()) +
+                 " logged requests)");
   }
 
   if (total.trace_mismatch > 0) {

@@ -39,7 +39,7 @@ namespace ppdp::bench {
 ///   --threads N     (default 0)    execution width: 0 = hardware
 ///                   concurrency, 1 = exact serial fallback
 ///   --report_out F  (default <out>/BENCH_<name>.json; "off" disables)
-///                   machine-readable run report for ppdp_benchstat
+///                   machine-readable run report for `ppdp_stat bench`
 ///   --flight_capacity N  (default 512)  flight-recorder ring size
 ///   --flight_level L     (default warn) min log level the recorder keeps
 ///   --flight_dump F      (default <out>/<bench>_flight.json; "off"

@@ -481,4 +481,20 @@ Result<JsonValue> JsonValue::Load(const std::string& path) {
   return parsed;
 }
 
+Status ForEachJsonLine(const std::string& path,
+                       const std::function<Status(const JsonValue&)>& fn) {
+  std::ifstream file(path);
+  if (!file) return Status::NotFound("cannot open " + path);
+  std::string line;
+  size_t line_number = 0;
+  while (std::getline(file, line)) {
+    ++line_number;
+    if (line.empty()) continue;
+    Result<JsonValue> doc = JsonValue::Parse(line);
+    Status status = doc.ok() ? fn(*doc) : doc.status();
+    if (!status.ok()) return status.Annotate(path + ":" + std::to_string(line_number));
+  }
+  return Status::Ok();
+}
+
 }  // namespace ppdp

@@ -2,6 +2,7 @@
 #define PPDP_COMMON_JSON_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,7 +14,7 @@
 namespace ppdp {
 
 /// Minimal JSON document model used by the telemetry pipeline: run reports
-/// are serialized through it, ppdp_benchstat parses them back, and tests
+/// are serialized through it, `ppdp_stat bench` parses them back, and tests
 /// validate the emitted schema without regexing raw text. Objects preserve
 /// insertion order so emitted documents diff stably; duplicate keys are
 /// rejected at parse time. Numbers are doubles (64-bit integers round-trip
@@ -56,7 +57,7 @@ class JsonValue {
   void Set(std::string_view key, JsonValue value);
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
-  /// Lookup helpers for tolerant readers (benchstat diffs reports emitted
+  /// Lookup helpers for tolerant readers (`ppdp_stat bench` diffs reports emitted
   /// by older schema versions): missing key or kind mismatch -> fallback.
   double GetNumberOr(std::string_view key, double fallback) const;
   std::string GetStringOr(std::string_view key, std::string fallback) const;
@@ -84,6 +85,13 @@ class JsonValue {
 /// characters) without the surrounding quotes — shared by the JSON log sink
 /// and the writers above.
 std::string JsonEscape(std::string_view raw);
+
+/// Reads the JSONL file at `path` and calls `fn` on each non-empty line's
+/// document, in order. The first unparseable line, or the first non-OK
+/// status `fn` returns, stops the scan and comes back annotated
+/// "<path>:<line>".
+Status ForEachJsonLine(const std::string& path,
+                       const std::function<Status(const JsonValue&)>& fn);
 
 }  // namespace ppdp
 

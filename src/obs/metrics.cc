@@ -76,6 +76,17 @@ std::vector<uint64_t> Histogram::CumulativeBucketCounts() const {
   return cumulative;
 }
 
+double SortedQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  // A single sample or all-equal samples collapse every quantile to that
+  // value.
+  const double position = std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(position);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double within = position - static_cast<double>(lo);
+  return sorted[lo] + within * (sorted[hi] - sorted[lo]);
+}
+
 double Histogram::ApproxQuantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (count_ == 0) return 0.0;
@@ -87,16 +98,10 @@ double Histogram::QuantileLocked(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   if (count_ <= samples_.size()) {
-    // Exact: type-7 (linear interpolation between closest ranks) over the
-    // retained raw observations. A single sample or all-equal samples
-    // collapse every quantile to that value.
+    // Exact over the retained raw observations.
     std::vector<double> sorted(samples_);
     std::sort(sorted.begin(), sorted.end());
-    double position = q * static_cast<double>(sorted.size() - 1);
-    size_t lo = static_cast<size_t>(position);
-    size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double within = position - static_cast<double>(lo);
-    return sorted[lo] + within * (sorted[hi] - sorted[lo]);
+    return SortedQuantile(sorted, q);
   }
   return BucketQuantileLocked(q);
 }

@@ -43,6 +43,11 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Exact type-7 quantile (linear interpolation between closest ranks) of
+/// the ascending `sorted`, q clamped to [0, 1]; 0 when empty. Shared by
+/// Histogram's exact path and `ppdp_stat slo`'s offline latency attainment.
+double SortedQuantile(const std::vector<double>& sorted, double q);
+
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i]; one
 /// implicit overflow bucket counts the rest. Tracks count/sum/min/max for
 /// exact means, and keeps the first kExactSampleCap raw observations so the
@@ -177,7 +182,7 @@ class MetricsRegistry {
 /// once, sample values parse as doubles (NaN/+Inf/-Inf spellings allowed),
 /// and each histogram's `_bucket{le=...}` series is cumulative
 /// (non-decreasing), ends at `le="+Inf"`, and agrees with its `_sum` /
-/// `_count` samples. Shared by telemetry_test and the ppdp_promcheck CI
+/// `_count` samples. Shared by telemetry_test and the `ppdp_stat prom` CI
 /// gate so a scrape that Prometheus would reject fails fast.
 Status ValidatePrometheusText(std::string_view text);
 

@@ -32,7 +32,7 @@ std::string DigestToHex(uint64_t digest);
 /// latency percentiles from MetricsRegistry histograms, every privacy
 /// ledger's audit trail, and digests of every output CSV. Serialized as
 /// bench_out/BENCH_<name>.json by the bench harness and diffed by
-/// tools/ppdp_benchstat.
+/// `ppdp_stat bench`.
 struct RunReport {
   static constexpr int kSchemaVersion = 1;
   /// Document type tag ("ppdp.bench.v1").
@@ -135,7 +135,16 @@ void CollectGlobalTelemetry(RunReport* report);
 /// phase/output entries. Returns the first violation.
 Status ValidateReportJson(const JsonValue& doc);
 
-/// ---- ppdp_benchstat: phase-by-phase perf diff with a noise threshold ----
+/// ---- `ppdp_stat bench`: phase-by-phase perf diff with a noise threshold ----
+
+/// The one regression rule every offline gate applies (phase time and peak
+/// RSS here, profile frame shares, access-log stage latency): `current`
+/// grew past both the relative `threshold` and the absolute `floor`. A zero
+/// baseline therefore regresses on any growth beyond the floor, and growth
+/// of exactly the floor never does.
+inline bool GateRegressed(double baseline, double current, double threshold, double floor) {
+  return current > baseline * (1.0 + threshold) && current - baseline > floor;
+}
 
 struct DiffOptions {
   /// Relative slowdown tolerated before a phase counts as regressed

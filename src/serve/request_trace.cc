@@ -1,5 +1,6 @@
 #include "serve/request_trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <utility>
@@ -21,6 +22,9 @@ bool AllLowerHex(std::string_view s) {
   }
   return true;
 }
+
+/// A well-formed request id: 32 lowercase hex digits.
+bool IsTraceId(std::string_view s) { return s.size() == 32 && AllLowerHex(s); }
 
 bool AllZero(std::string_view s) {
   for (char c : s) {
@@ -137,6 +141,86 @@ JsonValue RequestRecord::ToJson() const {
   }
   doc.Set("stages", std::move(stage_obj));
   return doc;
+}
+
+Result<RequestRecord> RequestRecord::FromJson(const JsonValue& doc) {
+  if (!doc.is_object()) return Status::InvalidArgument("record is not an object");
+  if (doc.GetStringOr("schema", "") != "ppdp.access.v1") {
+    return Status::InvalidArgument("schema is not ppdp.access.v1");
+  }
+  RequestRecord record;
+  record.request_id = doc.GetStringOr("request_id", "");
+  if (!IsTraceId(record.request_id)) {
+    return Status::InvalidArgument("request_id is not 32 lowercase hex chars");
+  }
+  const double status = doc.GetNumberOr("status", 0.0);
+  if (!(status >= 100.0 && status < 600.0)) {
+    return Status::InvalidArgument("status missing or not an HTTP status code");
+  }
+  record.status = static_cast<int>(status);
+  record.total_micros = doc.GetNumberOr("total_micros", -1.0);
+  if (!(record.total_micros >= 0.0)) {
+    return Status::InvalidArgument("total_micros missing or negative");
+  }
+  record.coalesce = doc.GetStringOr("coalesce", "");
+  if (!record.coalesce.empty() && record.coalesce != "leader" && record.coalesce != "waiter") {
+    return Status::InvalidArgument("coalesce must be empty, leader, or waiter");
+  }
+  record.leader_request_id = doc.GetStringOr("leader_request_id", "");
+  if (record.coalesce == "waiter" && !IsTraceId(record.leader_request_id)) {
+    return Status::InvalidArgument("waiter without a well-formed leader_request_id");
+  }
+  const JsonValue* stages = doc.Find("stages");
+  if (stages == nullptr || !stages->is_object()) {
+    return Status::InvalidArgument("stages missing or not an object");
+  }
+  for (const auto& [name, micros] : stages->members()) {
+    if (!micros.is_number() || !(micros.as_number() >= 0.0)) {
+      return Status::InvalidArgument("stage \"" + name + "\" has a non-numeric/negative value");
+    }
+    record.stages.push_back(StageMicros{name, micros.as_number()});
+  }
+  // The invariant the server guarantees by construction: stages are
+  // disjoint sub-intervals of the request, closed before the total is
+  // stamped. Half a microsecond of slack absorbs double rounding.
+  if (record.StageMicrosSum() > record.total_micros + 0.5) {
+    return Status::InvalidArgument("stage micros sum exceeds total_micros");
+  }
+  record.span_id = doc.GetStringOr("span_id", "");
+  record.tenant = doc.GetStringOr("tenant", "");
+  record.endpoint = doc.GetStringOr("endpoint", "");
+  record.epsilon = doc.GetNumberOr("epsilon", 0.0);
+  for (auto [key, bytes] : {std::pair{"bytes_in", &record.bytes_in},
+                            std::pair{"bytes_out", &record.bytes_out}}) {
+    const double value = doc.GetNumberOr(key, 0.0);
+    if (!(value >= 0.0 && value <= 0x1p53)) {
+      return Status::InvalidArgument(std::string(key) + " is not a byte count");
+    }
+    *bytes = static_cast<uint64_t>(value);
+  }
+  return record;
+}
+
+Result<std::vector<RequestRecord>> LoadAccessLog(const std::string& path) {
+  std::vector<RequestRecord> records;
+  PPDP_RETURN_IF_ERROR(ForEachJsonLine(path, [&records](const JsonValue& doc) {
+    Result<RequestRecord> record = RequestRecord::FromJson(doc);
+    if (!record.ok()) return record.status();
+    records.push_back(std::move(*record));
+    return Status::Ok();
+  }));
+  return records;
+}
+
+void StageBreakdown::Add(const RequestRecord& record) {
+  auto add = [this](const std::string& stage, double micros) {
+    Stats& stats = stages[stage];
+    ++stats.count;
+    stats.total_micros += micros;
+    stats.max_micros = std::max(stats.max_micros, micros);
+  };
+  add("total", record.total_micros);
+  for (const StageMicros& stage : record.stages) add(stage.name, stage.micros);
 }
 
 RequestContext::RequestContext(std::string endpoint, const obs::HttpRequest& request) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -78,6 +79,30 @@ struct RequestRecord {
   double StageMicrosSum() const;
   /// The ppdp.access.v1 JSON object (one access-log line, sans newline).
   JsonValue ToJson() const;
+  /// Strict reader, the inverse of ToJson: schema tag, a 32-lowercase-hex
+  /// request id, an HTTP status, non-negative timings and byte counts,
+  /// coalesce empty / "leader" / "waiter" (a waiter names a well-formed
+  /// leader_request_id), and the stage-sum invariant (stages never add up
+  /// past total_micros).
+  static Result<RequestRecord> FromJson(const JsonValue& doc);
+};
+
+/// Reads a ppdp.access.v1 JSONL log through RequestRecord::FromJson. The
+/// first bad line fails the whole load, annotated "<path>:<line>".
+Result<std::vector<RequestRecord>> LoadAccessLog(const std::string& path);
+
+/// Per-stage latency roll-up of access records. Key "total" tracks
+/// whole-request time; every other key is a stage name.
+struct StageBreakdown {
+  struct Stats {
+    uint64_t count = 0;
+    double total_micros = 0.0;
+    double max_micros = 0.0;
+    double mean_micros() const { return count == 0 ? 0.0 : total_micros / count; }
+  };
+  std::map<std::string, Stats> stages;
+
+  void Add(const RequestRecord& record);
 };
 
 /// Per-request context threaded through a handler: identity (trace id),

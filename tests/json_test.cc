@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace ppdp {
 namespace {
@@ -113,6 +115,31 @@ TEST(JsonValueTest, LoadReadsFileAndReportsMissing) {
   EXPECT_TRUE(doc->Find("k")->at(0).as_bool());
 
   EXPECT_FALSE(JsonValue::Load(::testing::TempDir() + "/definitely_missing.json").ok());
+}
+
+TEST(JsonValueTest, ForEachJsonLineSkipsBlanksAndNamesTheBadLine) {
+  const std::string path = ::testing::TempDir() + "/json_test_lines.jsonl";
+  std::ofstream(path) << "{\"n\": 1}\n\n{\"n\": 2}\n{broken\n{\"n\": 4}\n";
+  std::vector<double> seen;
+  auto collect = [&seen](const JsonValue& doc) {
+    seen.push_back(doc.GetNumberOr("n", 0.0));
+    return doc.GetNumberOr("n", 0.0) < 2.0 ? Status::Ok() : Status::InvalidArgument("n >= 2");
+  };
+  Status status = ForEachJsonLine(path, collect);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find(path + ":3: n >= 2"), std::string::npos) << status.ToString();
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));  // the callback's error stops the scan
+
+  seen.clear();
+  status = ForEachJsonLine(path, [&seen](const JsonValue& doc) {
+    seen.push_back(doc.GetNumberOr("n", 0.0));
+    return Status::Ok();
+  });
+  EXPECT_NE(status.ToString().find(path + ":4:"), std::string::npos) << status.ToString();
+  EXPECT_EQ(seen.size(), 2u);  // a parse error stops the scan too
+  EXPECT_EQ(ForEachJsonLine(::testing::TempDir() + "/definitely_missing.jsonl", collect).code(),
+            StatusCode::kNotFound);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -236,6 +236,25 @@ TEST(DiffReportsTest, SubNoisePhasesNeverRegressOnRatioAlone) {
   EXPECT_FALSE(diff.regressed);
 }
 
+TEST(DiffReportsTest, GrowthOfExactlyTheFloorDoesNotRegress) {
+  DiffOptions options;
+  options.threshold = 0.0;  // isolate the 5 ms floor
+  EXPECT_FALSE(
+      DiffReports(TimingReport(100.0, 50.0), TimingReport(105.0, 50.0), options).regressed);
+  EXPECT_TRUE(
+      DiffReports(TimingReport(100.0, 50.0), TimingReport(105.5, 50.0), options).regressed);
+  EXPECT_FALSE(GateRegressed(100.0, 105.0, 0.0, 5.0));
+}
+
+TEST(DiffReportsTest, ZeroBaselinePhaseRegressesPastTheFloor) {
+  ReportDiff diff = DiffReports(TimingReport(0.0, 50.0), TimingReport(6.0, 50.0), DiffOptions{});
+  EXPECT_TRUE(diff.regressed);
+  EXPECT_TRUE(diff.phases[0].regressed) << "0 -> 6 ms grows past the 5 ms floor";
+  EXPECT_FALSE(
+      DiffReports(TimingReport(0.0, 50.0), TimingReport(5.0, 50.0), DiffOptions{}).regressed);
+  EXPECT_TRUE(GateRegressed(0.0, 1e-9, 0.25, 0.0));
+}
+
 TEST(DiffReportsTest, AddedAndRemovedPhasesAreReportedButNeverRegress) {
   RunReport baseline = TimingReport(100.0, 50.0);
   RunReport current = TimingReport(100.0, 50.0);

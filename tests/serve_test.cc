@@ -657,6 +657,80 @@ TEST(RequestTraceTest, ParseTraceparentAcceptsOnlyWellFormedHeaders) {
   EXPECT_NE(GenerateTraceId(), generated);  // ids are unique within a process
 }
 
+RequestRecord SampleRecord() {
+  RequestRecord record;
+  record.request_id = "0af7651916cd43dd8448eb211c80319c";
+  record.span_id = "b7ad6b7169203331";
+  record.tenant = "acme";
+  record.endpoint = "/v1/publish";
+  record.status = 200;
+  record.epsilon = 0.25;
+  record.total_micros = 1234.5;
+  record.bytes_in = 64;
+  record.bytes_out = 512;
+  record.coalesce = "waiter";
+  record.leader_request_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+  record.stages = {{"serve.parse", 12.25}, {"serve.coalesce.wait", 1000.0}, {"serve.write", 8.0}};
+  return record;
+}
+
+TEST(RequestTraceTest, AccessRecordRoundTripsThroughFromJson) {
+  const RequestRecord record = SampleRecord();
+  Result<RequestRecord> parsed = RequestRecord::FromJson(record.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->ToJson().Dump(), record.ToJson().Dump());
+  EXPECT_EQ(parsed->leader_request_id, record.leader_request_id);
+  EXPECT_EQ(parsed->bytes_out, 512u);
+  ASSERT_EQ(parsed->stages.size(), 3u);
+  EXPECT_EQ(parsed->stages[1].name, "serve.coalesce.wait");
+  EXPECT_DOUBLE_EQ(parsed->StageMicrosSum(), record.StageMicrosSum());
+
+  // A plain (uncoalesced) record omits leader_request_id and still parses.
+  RequestRecord plain = SampleRecord();
+  plain.coalesce.clear();
+  plain.leader_request_id.clear();
+  parsed = RequestRecord::FromJson(plain.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_FALSE(plain.ToJson().Has("leader_request_id"));
+  EXPECT_EQ(parsed->ToJson().Dump(), plain.ToJson().Dump());
+}
+
+TEST(RequestTraceTest, FromJsonRejectsMalformedRecords) {
+  auto rejected = [](RequestRecord record) {
+    return !RequestRecord::FromJson(record.ToJson()).ok();
+  };
+  RequestRecord bad_id = SampleRecord();
+  bad_id.request_id = "0AF7651916CD43DD8448EB211C80319C";  // uppercase
+  EXPECT_TRUE(rejected(bad_id));
+  bad_id.request_id = "0af76519";  // short
+  EXPECT_TRUE(rejected(bad_id));
+
+  RequestRecord over_total = SampleRecord();
+  over_total.total_micros = 1000.0;  // stages add up to 1020.25
+  EXPECT_TRUE(rejected(over_total));
+
+  RequestRecord orphan = SampleRecord();
+  orphan.leader_request_id.clear();  // a waiter must name its leader
+  EXPECT_TRUE(rejected(orphan));
+
+  RequestRecord role = SampleRecord();
+  role.coalesce = "follower";
+  EXPECT_TRUE(rejected(role));
+
+  RequestRecord no_status = SampleRecord();
+  no_status.status = 0;
+  EXPECT_TRUE(rejected(no_status));
+
+  JsonValue huge_bytes = SampleRecord().ToJson();
+  huge_bytes.Set("bytes_out", JsonValue::Number(1e300));
+  EXPECT_FALSE(RequestRecord::FromJson(huge_bytes).ok());
+
+  JsonValue foreign = SampleRecord().ToJson();
+  foreign.Set("schema", JsonValue::String("ppdp.alertlog.v1"));
+  EXPECT_FALSE(RequestRecord::FromJson(foreign).ok());
+  EXPECT_FALSE(RequestRecord::FromJson(JsonValue::Array()).ok());
+}
+
 std::string TempAccessLogPath(const std::string& name) {
   std::string path = ::testing::TempDir() + "/serve_access_" + name + "_" +
                      std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + ".jsonl";
@@ -746,6 +820,10 @@ TEST(ServeAppTraceTest, AccessLogRecordsEveryRequestOnceWithBoundedStageSums) {
 
   const std::vector<JsonValue> records = ReadAccessLog(log_path);
   ASSERT_EQ(records.size(), sent);
+  // The server's own log passes the strict reader the offline tools use.
+  Result<std::vector<RequestRecord>> strict = LoadAccessLog(log_path);
+  ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+  EXPECT_EQ(strict->size(), sent);
   EXPECT_EQ((*app)->observer().tracker().completed_total(), sent);
 
   std::set<std::string> ids;
@@ -825,6 +903,7 @@ TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
     }
   }
   ASSERT_EQ(waiter_leader_ids.size(), static_cast<size_t>(kTenants - 1));
+  EXPECT_TRUE(LoadAccessLog(log_path).ok()) << "waiters name a well-formed leader";
   ASSERT_FALSE(leader_id.empty());
   for (const std::string& id : waiter_leader_ids) EXPECT_EQ(id, leader_id);
   std::remove(log_path.c_str());
