@@ -51,6 +51,11 @@ genomics::PrivacyReport GenomePublisher::Privacy(const std::vector<size_t>& targ
 }
 
 Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) const {
+  // δ arrives from the network; out of range (or NaN) it would trip the
+  // sanitizer's PPDP_CHECK and abort a serving daemon.
+  if (!(config.delta >= 0.0 && config.delta <= 1.0)) {
+    return Status::InvalidArgument("delta must be in [0,1]");
+  }
   std::vector<size_t> traits = config.target_traits;
   if (traits.empty()) traits.push_back(0);
   for (size_t trait : traits) {

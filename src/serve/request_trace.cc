@@ -74,6 +74,14 @@ bool SafeTenantForMetrics(const std::string& tenant) {
   return true;
 }
 
+obs::Histogram& RequestHistogram() {
+  static obs::Histogram& histogram = obs::MetricsRegistry::Global().histogram(
+      "serve.request.seconds",
+      {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+       2.5});
+  return histogram;
+}
+
 const std::vector<double>& TenantLatencyBoundsMs() {
   static const std::vector<double> bounds = {0.1, 0.25, 0.5,  1.0,  2.5,   5.0,   10.0,
                                              25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0};
@@ -344,7 +352,7 @@ void RequestObserver::Complete(RequestContext* context) {
   record.total_micros = (obs::MonotonicSeconds() - context->start_seconds) * 1e6;
 
   if (log_.enabled()) {
-    if (Status appended = log_.Append(record); !appended.ok()) {
+    if (Status appended = log_.Append(record.ToJson().Dump()); !appended.ok()) {
       PPDP_LOG(WARN) << "access log append failed" << obs::Field("status", appended.ToString());
     }
   }
@@ -369,6 +377,8 @@ void RequestObserver::Complete(RequestContext* context) {
     if (record.status >= 400) registry.counter(prefix + ".rejected").Increment();
     registry.histogram(prefix + ".latency_ms", TenantLatencyBoundsMs()).Observe(total_ms);
   }
+
+  if (record.status == 200) RequestHistogram().Observe(record.total_micros / 1e6);
 
   if (slo_ != nullptr) {
     slo_->RecordRequest(record.status, record.total_micros / 1e6);

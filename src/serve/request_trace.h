@@ -180,33 +180,6 @@ class RequestTracker {
   uint64_t completed_total_ = 0;
 };
 
-/// Size-rotated JSONL access log: one ppdp.access.v1 object per line. A
-/// thin typed veneer over obs::RotatingJsonlLog (which the SLO alert log
-/// shares), so both logs rotate, flush, and bound their disk footprint
-/// (~2x max_bytes, one `<path>.1` generation) identically.
-class AccessLog {
- public:
-  AccessLog() = default;
-  AccessLog(const AccessLog&) = delete;
-  AccessLog& operator=(const AccessLog&) = delete;
-
-  /// Opens (appending) `path`; rotation triggers once the current file
-  /// exceeds `max_bytes`.
-  Status Open(const std::string& path, uint64_t max_bytes) {
-    return log_.Open(path, max_bytes);
-  }
-  bool enabled() const { return log_.enabled(); }
-  Status Append(const RequestRecord& record) { return log_.Append(record.ToJson().Dump()); }
-  void Close() { log_.Close(); }
-
-  /// Underlying sink counters (tests, statusz).
-  uint64_t lines_written() const { return log_.lines_written(); }
-  uint64_t rotations() const { return log_.rotations(); }
-
- private:
-  obs::RotatingJsonlLog log_;
-};
-
 /// Observability knobs the ppdp_serve flags map onto.
 struct RequestObsOptions {
   std::string access_log;          ///< empty = no access log
@@ -214,8 +187,9 @@ struct RequestObsOptions {
   double slow_request_ms = 0.0;    ///< > 0 captures slow requests in FlightRecorder
 };
 
-/// The per-app bundle the serving handlers talk to: tracker + access log +
-/// slow/non-2xx FlightRecorder capture + per-tenant metrics. Everything
+/// The per-app bundle the serving lifecycle talks to: tracker + access log
+/// (size-rotated `ppdp.access.v1` JSONL, one object per line) + slow/non-2xx
+/// FlightRecorder capture + per-tenant metrics + request latency. Everything
 /// beyond the tracker's one mutex push is gated on its flag, keeping the
 /// no-flags configuration at effectively zero overhead.
 class RequestObserver {
@@ -228,56 +202,20 @@ class RequestObserver {
   void AttachSloEngine(obs::SloEngine* engine) { slo_ = engine; }
 
   void Begin(RequestContext* context);
-  /// Finalizes the record (total micros), then exports: access log line,
-  /// completed-ring entry, FlightRecorder capture for slow / non-2xx
-  /// requests, per-tenant serve.tenant.<t>.* metrics, SLO windows.
+  /// Finalizes the record (total micros; status and bytes_out are the
+  /// caller's), then exports: access log line, completed-ring entry,
+  /// FlightRecorder capture for slow / non-2xx requests, per-tenant
+  /// serve.tenant.<t>.* metrics, the serve.request.seconds histogram (200s
+  /// only), SLO windows.
   void Complete(RequestContext* context);
 
   RequestTracker& tracker() { return tracker_; }
-  const RequestObsOptions& options() const { return options_; }
-  const AccessLog& access_log() const { return log_; }
 
  private:
   RequestObsOptions options_;
   RequestTracker tracker_;
-  AccessLog log_;
+  obs::RotatingJsonlLog log_;
   obs::SloEngine* slo_ = nullptr;
-};
-
-/// RAII begin/complete pair for a handler scope: completes the request on
-/// every exit path, after the handler has stamped status/bytes_out.
-class ScopedRequest {
- public:
-  ScopedRequest(RequestObserver* observer, RequestContext* context)
-      : observer_(observer), context_(context) {
-    observer_->Begin(context_);
-  }
-  ScopedRequest(const ScopedRequest&) = delete;
-  ScopedRequest& operator=(const ScopedRequest&) = delete;
-  ~ScopedRequest() { observer_->Complete(context_); }
-
- private:
-  RequestObserver* observer_;
-  RequestContext* context_;
-};
-
-/// Stamps the response's final status and body size into the record at
-/// scope exit. Construct *after* the ScopedRequest so it runs first: every
-/// return path then logs the status it actually answered with.
-class ResponseStamp {
- public:
-  ResponseStamp(RequestContext* context, const obs::HttpResponse* response)
-      : context_(context), response_(response) {}
-  ResponseStamp(const ResponseStamp&) = delete;
-  ResponseStamp& operator=(const ResponseStamp&) = delete;
-  ~ResponseStamp() {
-    context_->record.status = response_->status();
-    context_->record.bytes_out = response_->body().size();
-  }
-
- private:
-  RequestContext* context_;
-  const obs::HttpResponse* response_;
 };
 
 }  // namespace ppdp::serve

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "common/rng.h"
 #include "dp/aggregation.h"
-#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "genomics/genome_data.h"
 #include "genomics/gwas_catalog.h"
@@ -22,17 +22,6 @@
 namespace ppdp::serve {
 
 namespace {
-
-/// JSON error envelope every non-200 serve response uses, so clients parse
-/// one shape regardless of which guardrail fired.
-void JsonError(obs::HttpResponse* response, int status, const std::string& error,
-               JsonValue detail = JsonValue::Null()) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("ppdp.serve.error.v1"));
-  doc.Set("error", JsonValue::String(error));
-  if (!detail.is_null()) doc.Set("detail", std::move(detail));
-  response->Json(status, doc);
-}
 
 Result<tradeoff::Strategy> ParseStrategy(const std::string& name) {
   if (name == "attribute_removal") return tradeoff::Strategy::kAttributeRemoval;
@@ -100,28 +89,6 @@ std::string CanonicalConfigKey(core::PublisherKind kind, const core::PublishConf
   }
   doc.Set("target_traits", std::move(traits));
   return doc.Dump();
-}
-
-/// RAII in-flight marker backing the drain loop in Stop().
-class InflightScope {
- public:
-  explicit InflightScope(std::atomic<size_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~InflightScope() { counter_->fetch_sub(1, std::memory_order_acq_rel); }
-  InflightScope(const InflightScope&) = delete;
-  InflightScope& operator=(const InflightScope&) = delete;
-
- private:
-  std::atomic<size_t>* counter_;
-};
-
-obs::Histogram& RequestHistogram() {
-  static obs::Histogram& histogram = obs::MetricsRegistry::Global().histogram(
-      "serve.request.seconds",
-      {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-       2.5});
-  return histogram;
 }
 
 /// FNV-1a 64 over raw bytes — the corpus digests in the startup summary use
@@ -278,7 +245,7 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
 
   // The SLO engine is always on: custom rules from --slo_config, the
   // built-in defaults otherwise. Every completed request feeds it via the
-  // observer; the spending handlers feed queue depth and ε burn directly.
+  // observer; AdmitAndSpend feeds queue depth and ε burn directly.
   obs::SloEngine::Options slo_options;
   if (!options.slo_config.empty()) {
     PPDP_ASSIGN_OR_RETURN(slo_options.rules, obs::LoadSloConfig(options.slo_config));
@@ -299,7 +266,7 @@ void ServeApp::Stop() {
   draining_.store(true, std::memory_order_release);
   coalescer_.Shutdown();
   // Drain: requests already past the draining check finish normally (their
-  // sockets stay open); new arrivals are answered 503 by the handlers.
+  // sockets stay open); new arrivals are answered 503 by Serve.
   const double deadline = obs::MonotonicSeconds() + options_.drain_timeout_seconds;
   while (inflight_.load(std::memory_order_acquire) > 0 && obs::MonotonicSeconds() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -320,17 +287,6 @@ core::Publisher* ServeApp::PublisherFor(core::PublisherKind kind) const {
     case core::PublisherKind::kGenome: return genome_.get();
   }
   return nullptr;
-}
-
-Result<core::PublishOutput> ServeApp::RunPublish(
-    std::function<Result<core::PublishOutput>()> task) {
-  // Inline on the connection thread: the publisher's internal ParallelFor
-  // treats the caller as one execution thread and enlists pool workers as
-  // helpers, which is only safe when the caller is not itself a pool
-  // worker. Submitting the publish to the pool and blocking on a future
-  // deadlocks once every worker is parked in that wait (the helpers they
-  // enqueued can never start).
-  return task();
 }
 
 void ServeApp::RegisterRoutes() {
@@ -472,360 +428,332 @@ void ServeApp::ObserveQueueDepth() {
                          static_cast<double>(max_pending));
 }
 
-void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests =
-      obs::MetricsRegistry::Global().counter("serve.publish.requests");
-  static obs::Counter& runs = obs::MetricsRegistry::Global().counter("serve.publish.runs");
-  static obs::Counter& fanout =
-      obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
+/// What the request lifecycle knows about one /v1 endpoint.
+struct ServeApp::Route {
+  const char* path;        ///< the access record's endpoint
+  const char* schema;      ///< schema tag of the 200 body
+  obs::Counter& requests;  ///< serve.<endpoint>.requests
+  /// ε charged when the body names none; 0 = the endpoint never spends.
+  double default_epsilon;
+};
+
+/// A non-200 answer from one lifecycle step, rendered by Serve as a
+/// ppdp.serve.error.v1 body.
+struct ServeApp::Refusal {
+  int status = 0;
+  std::string error;
+  JsonValue detail = JsonValue::Null();
+};
+
+/// One /v1 request on its way through the lifecycle.
+struct ServeApp::Call {
+  Call(const char* path, const obs::HttpRequest& request) : context(path, request) {}
+  const std::string& tenant() const { return context.record.tenant; }
+
+  RequestContext context;
+  // Set by the parse step on the spending endpoints.
+  double epsilon = 0.0;
+  double deadline = 0.0;  ///< absolute MonotonicSeconds; 0 = none declared
+  std::string label;      ///< the ledger entry the spend lands in
+  std::string mechanism;
+  /// The tenant's ledger, set once the spend succeeded.
+  obs::PrivacyLedger* ledger = nullptr;
+};
+
+template <typename Parse, typename Run, typename Write>
+void ServeApp::Serve(const Route& route, const obs::HttpRequest& request,
+                     obs::HttpResponse* response, Parse parse, Run run, Write write) {
+  route.requests.Increment();
+  Call call(route.path, request);
+  response->SetHeader("traceparent", call.context.ResponseTraceparent());
+  observer_.Begin(&call.context);
+  auto answer = [&](AdmissionSlot* slot) -> std::optional<Refusal> {
+    {
+      // Parse owns every request-shape check, so each 400 is answered
+      // before admission and before any ε is charged.
+      StageTimer parse_stage(&call.context, "serve.parse");
+      Result<JsonValue> body = request.Json();
+      if (!body.ok()) return Refusal{400, "invalid JSON body: " + body.status().ToString()};
+      call.context.record.tenant = body->GetStringOr("tenant", "");
+      if (std::string error = parse(*body, &call); !error.empty()) {
+        return Refusal{400, std::move(error)};
+      }
+      if (Status valid = TenantRegistry::ValidateName(call.tenant()); !valid.ok()) {
+        return Refusal{400, valid.ToString()};
+      }
+      if (route.default_epsilon > 0.0) {
+        call.epsilon = body->GetNumberOr("epsilon", route.default_epsilon);
+        if (!(call.epsilon > 0.0)) {
+          return Refusal{400, Status::InvalidArgument("epsilon must be positive").ToString()};
+        }
+        call.deadline = RequestDeadline(*body, call.context.start_seconds,
+                                        options_.request_deadline_seconds);
+      }
+    }
+    if (route.default_epsilon > 0.0) {
+      if (std::optional<Refusal> refused = AdmitAndSpend(&call, slot)) return refused;
+    }
+    if (std::optional<Refusal> refused = run(&call)) return refused;
+
+    StageTimer write_stage(&call.context, "serve.write");
+    JsonValue doc = JsonValue::Object();
+    doc.Set("schema", JsonValue::String(route.schema));
+    doc.Set("request_id", JsonValue::String(call.context.record.request_id));
+    doc.Set("tenant", JsonValue::String(call.tenant()));
+    write(call, &doc);
+    response->Json(200, doc);
+    return std::nullopt;
+  };
+
+  auto refuse = [response](Refusal refusal) {
+    JsonValue doc = JsonValue::Object();
+    doc.Set("schema", JsonValue::String("ppdp.serve.error.v1"));
+    doc.Set("error", JsonValue::String(refusal.error));
+    if (!refusal.detail.is_null()) doc.Set("detail", std::move(refusal.detail));
+    response->Json(refusal.status, doc);
+  };
+  if (draining()) {
+    refuse({503, "draining"});
+  } else {
+    inflight_.fetch_add(1, std::memory_order_acq_rel);
+    AdmissionSlot slot;  // held from admission until the answer is written
+    if (std::optional<Refusal> refused = answer(&slot)) refuse(std::move(*refused));
+    slot = AdmissionSlot();
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  call.context.record.status = response->status();
+  call.context.record.bytes_out = response->body().size();
+  observer_.Complete(&call.context);
+}
+
+std::optional<ServeApp::Refusal> ServeApp::AdmitAndSpend(Call* call, AdmissionSlot* slot) {
   static obs::Counter& budget_rejected =
       obs::MetricsRegistry::Global().counter("serve.budget.rejected");
-  requests.Increment();
-  RequestContext context("/v1/publish", request);
-  response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
-  if (draining()) {
-    JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  std::string tenant, kind_name;
-  double epsilon = 0.5, deadline = 0.0;
-  Result<core::PublisherKind> kind = core::PublisherKind::kSocial;
-  Result<core::PublishConfig> config = core::PublishConfig{};
-  {
-    StageTimer parse_stage(&context, "serve.parse");
-    Result<JsonValue> body = request.Json();
-    if (!body.ok()) {
-      JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-      return;
-    }
-    tenant = body->GetStringOr("tenant", "");
-    context.record.tenant = tenant;
-    kind_name = body->GetStringOr("kind", "social");
-    epsilon = body->GetNumberOr("epsilon", 0.5);
-    deadline = RequestDeadline(*body, started, options_.request_deadline_seconds);
-    kind = core::ParsePublisherKind(kind_name);
-    if (!kind.ok()) {
-      JsonError(response, 400, kind.status().ToString());
-      return;
-    }
-    config = ParsePublishConfig(*body);
-    if (!config.ok()) {
-      JsonError(response, 400, config.status().ToString());
-      return;
-    }
-  }
-
   // Admission before spending: a request refused for queue pressure must
   // not have charged its tenant. A declared deadline waits in line for a
   // slot until it expires (504); no deadline keeps the immediate 429.
-  StageTimer admit_stage(&context, "serve.admission.queue");
-  AdmissionSlot slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline)
-                                      : admission_.TryAdmit();
-  admit_stage.Stop();
+  {
+    StageTimer admit_stage(&call->context, "serve.admission.queue");
+    *slot = admission_.TryAdmitUntil(call->deadline);
+  }
   ObserveQueueDepth();
-  if (!slot.held()) {
-    if (deadline > 0.0) {
+  if (!slot->held()) {
+    if (call->deadline > 0.0) {
       DeadlineExceededCounter().Increment();
-      JsonError(response, 504, "deadline exceeded while queued for admission");
-      return;
+      return Refusal{504, "deadline exceeded while queued for admission"};
     }
     JsonValue detail = JsonValue::Object();
     detail.Set("pending", JsonValue::Number(static_cast<double>(admission_.pending())));
     detail.Set("max_pending", JsonValue::Number(static_cast<double>(admission_.max_pending())));
-    JsonError(response, 429, "admission queue full", std::move(detail));
-    return;
+    return Refusal{429, "admission queue full", std::move(detail)};
   }
-  if (deadline > 0.0 && obs::MonotonicSeconds() >= deadline) {
+  if (call->deadline > 0.0 && obs::MonotonicSeconds() >= call->deadline) {
     // Expired before spending: the tenant must not be charged for work the
     // client has already given up on.
     DeadlineExceededCounter().Increment();
-    JsonError(response, 504, "deadline exceeded");
-    return;
+    return Refusal{504, "deadline exceeded"};
   }
 
-  StageTimer spend_stage(&context, "serve.ledger.spend");
-  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
+  StageTimer spend_stage(&call->context, "serve.ledger.spend");
+  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(call->tenant());
   if (!ledger.ok()) {
     const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
-    JsonError(response, status, ledger.status().ToString());
-    return;
+    return Refusal{status, ledger.status().ToString()};
   }
   // Budget-once: each request charges its own tenant exactly once, before
   // coalescing — a coalesced batch spends N tenants' ε for one run. With a
   // WAL attached the charge is logged ahead of admission, so a crash here
   // replays it as spent.
   Status spend =
-      tenants_.SpendDurable(*ledger, tenant, core::PublisherKindName(*kind), "publish", epsilon);
+      tenants_.SpendDurable(*ledger, call->tenant(), call->label, call->mechanism, call->epsilon);
   spend_stage.Stop();
   if (!spend.ok()) {
     if (spend.code() == StatusCode::kUnavailable) {
       WalUnavailableCounter().Increment();
-      JsonError(response, 503, spend.ToString());
-      return;
+      return Refusal{503, spend.ToString()};
     }
     budget_rejected.Increment();
     obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
     JsonValue detail = JsonValue::Object();
-    detail.Set("tenant", JsonValue::String(tenant));
-    detail.Set("requested_epsilon", JsonValue::Number(epsilon));
+    detail.Set("tenant", JsonValue::String(call->tenant()));
+    detail.Set("requested_epsilon", JsonValue::Number(call->epsilon));
     detail.Set("remaining_epsilon", JsonValue::Number(snapshot.remaining));
     detail.Set("budget", JsonValue::Number(snapshot.budget));
-    JsonError(response, 403, "privacy budget exhausted", std::move(detail));
-    return;
+    return Refusal{403, "privacy budget exhausted", std::move(detail)};
   }
-  context.record.epsilon = epsilon;
-  {
-    // Feed the tenant's burn-rate window with the post-spend balance, then
-    // evaluate: the ledger-burn rule is what pages *before* the first 403.
-    const obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    slo_->RecordSpend(tenant, epsilon, snapshot.remaining, snapshot.budget);
-    slo_->EvaluateIfDue();
-  }
+  call->ledger = *ledger;
+  call->context.record.epsilon = call->epsilon;
+  // Feed the tenant's burn-rate window with the post-spend balance, then
+  // evaluate: the ledger-burn rule is what pages *before* the first 403.
+  const obs::PrivacyLedger::BudgetSnapshot snapshot = call->ledger->snapshot();
+  slo_->RecordSpend(call->tenant(), call->epsilon, snapshot.remaining, snapshot.budget);
+  slo_->EvaluateIfDue();
+  return std::nullopt;
+}
 
-  core::Publisher* publisher = PublisherFor(*kind);
-  const core::PublishConfig publish_config = *config;
-  BatchCoalescer::Outcome outcome =
-      coalescer_.Run(CanonicalConfigKey(*kind, publish_config), &context,
-                     [this, publisher, publish_config]() -> Result<core::PublishOutput> {
-                       // Chaos hook for the slow-request capture path: an
-                       // armed delay here stretches serve.publish, which
-                       // --slow_request_ms then flags into FlightRecorder.
-                       const fault::FaultDecision decision =
-                           PPDP_FAULT_POINT("serve.publish", fault::kMaskDelay);
-                       if (decision.delay()) {
-                         std::this_thread::sleep_for(
-                             std::chrono::duration<double, std::milli>(decision.delay_ms));
-                       }
-                       return RunPublish(
-                           [publisher, publish_config] { return publisher->Publish(publish_config); });
-                     });
-  context.record.coalesce = outcome.leader ? "leader" : "waiter";
-  if (outcome.leader) {
-    runs.Increment();
-  } else {
-    fanout.Increment();
-    context.record.leader_request_id = outcome.leader_request_id;
-  }
-  if (!outcome.result.ok()) {
-    JsonError(response, 400, outcome.result.status().ToString());
-    return;
-  }
-
-  StageTimer write_stage(&context, "serve.write");
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("ppdp.serve.publish.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
-  doc.Set("tenant", JsonValue::String(tenant));
-  doc.Set("kind", JsonValue::String(core::PublisherKindName(*kind)));
-  doc.Set("coalesced", JsonValue::Bool(!outcome.leader));
-  doc.Set("batch_size", JsonValue::Number(static_cast<double>(outcome.batch_size)));
-  doc.Set("epsilon_spent", JsonValue::Number(epsilon));
-  doc.Set("remaining_epsilon", JsonValue::Number((*ledger)->remaining()));
-  doc.Set("output", outcome.result->ToJson());
-  response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
+void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse* response) {
+  static const Route route{"/v1/publish", "ppdp.serve.publish.v1",
+                           obs::MetricsRegistry::Global().counter("serve.publish.requests"),
+                           /*default_epsilon=*/0.5};
+  static obs::Counter& runs = obs::MetricsRegistry::Global().counter("serve.publish.runs");
+  static obs::Counter& fanout =
+      obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
+  core::PublisherKind kind = core::PublisherKind::kSocial;
+  core::PublishConfig config;
+  std::optional<BatchCoalescer::Outcome> outcome;
+  Serve(
+      route, request, response,
+      [&](const JsonValue& body, Call* call) -> std::string {
+        Result<core::PublisherKind> parsed_kind =
+            core::ParsePublisherKind(body.GetStringOr("kind", "social"));
+        if (!parsed_kind.ok()) return parsed_kind.status().ToString();
+        Result<core::PublishConfig> parsed_config = ParsePublishConfig(body);
+        if (!parsed_config.ok()) return parsed_config.status().ToString();
+        kind = *parsed_kind;
+        config = std::move(*parsed_config);
+        call->label = core::PublisherKindName(kind);
+        call->mechanism = "publish";
+        return "";
+      },
+      [&](Call* call) -> std::optional<Refusal> {
+        const core::Publisher* publisher = PublisherFor(kind);
+        outcome = coalescer_.Run(
+            CanonicalConfigKey(kind, config), &call->context,
+            [publisher, &config]() -> Result<core::PublishOutput> {
+              // Chaos hook for the slow-request capture path: an armed delay
+              // here stretches serve.publish, which --slow_request_ms then
+              // flags into FlightRecorder.
+              const fault::FaultDecision decision =
+                  PPDP_FAULT_POINT("serve.publish", fault::kMaskDelay);
+              if (decision.delay()) {
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(decision.delay_ms));
+              }
+              // Inline on the connection thread: the publisher's internal
+              // ParallelFor treats the caller as one execution thread and
+              // enlists pool workers as helpers, which is only safe when the
+              // caller is not itself a pool worker. Submitting the publish to
+              // the pool and blocking on a future deadlocks once every worker
+              // is parked in that wait (the helpers they enqueued can never
+              // start). Connection threads are bounded by http_max_conns, so
+              // concurrency stays capped without ever parking a pool thread.
+              return publisher->Publish(config);
+            });
+        call->context.record.coalesce = outcome->leader ? "leader" : "waiter";
+        if (outcome->leader) {
+          runs.Increment();
+        } else {
+          fanout.Increment();
+          call->context.record.leader_request_id = outcome->leader_request_id;
+        }
+        if (!outcome->result.ok()) return Refusal{400, outcome->result.status().ToString()};
+        return std::nullopt;
+      },
+      [&](const Call& call, JsonValue* doc) {
+        doc->Set("kind", JsonValue::String(core::PublisherKindName(kind)));
+        doc->Set("coalesced", JsonValue::Bool(!outcome->leader));
+        doc->Set("batch_size", JsonValue::Number(static_cast<double>(outcome->batch_size)));
+        doc->Set("epsilon_spent", JsonValue::Number(call.epsilon));
+        doc->Set("remaining_epsilon", JsonValue::Number(call.ledger->remaining()));
+        doc->Set("output", outcome->result->ToJson());
+      });
 }
 
 void ServeApp::HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests = obs::MetricsRegistry::Global().counter("serve.audit.requests");
-  requests.Increment();
-  RequestContext context("/v1/audit", request);
-  response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
-  if (draining()) {
-    JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  StageTimer parse_stage(&context, "serve.parse");
-  Result<JsonValue> body = request.Json();
-  if (!body.ok()) {
-    JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-    return;
-  }
-  const std::string tenant = body->GetStringOr("tenant", "");
-  context.record.tenant = tenant;
-  Status valid = TenantRegistry::ValidateName(tenant);
-  parse_stage.Stop();
-  if (!valid.ok()) {
-    JsonError(response, 400, valid.ToString());
-    return;
-  }
-  obs::PrivacyLedger* ledger = tenants_.FindTenant(tenant);
-  if (ledger == nullptr) {
-    JsonError(response, 404, "unknown tenant: " + tenant);
-    return;
-  }
-
-  StageTimer write_stage(&context, "serve.write");
-  obs::PrivacyLedger::BudgetSnapshot snapshot = ledger->snapshot();
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("ppdp.serve.audit.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
-  doc.Set("tenant", JsonValue::String(tenant));
-  doc.Set("budget", JsonValue::Number(snapshot.budget));
-  doc.Set("spent", JsonValue::Number(snapshot.spent));
-  doc.Set("remaining", JsonValue::Number(snapshot.remaining));
-  doc.Set("rejected", JsonValue::Number(static_cast<double>(snapshot.rejected)));
-  JsonValue entries = JsonValue::Array();
-  for (const obs::PrivacyLedger::Entry& entry : ledger->entries()) {
-    JsonValue entry_json = JsonValue::Object();
-    entry_json.Set("label", JsonValue::String(entry.label));
-    entry_json.Set("mechanism", JsonValue::String(entry.mechanism));
-    entry_json.Set("calls", JsonValue::Number(static_cast<double>(entry.calls)));
-    entry_json.Set("total_epsilon", JsonValue::Number(entry.total_epsilon));
-    entries.Append(std::move(entry_json));
-  }
-  doc.Set("entries", entries);
-  response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
+  static const Route route{"/v1/audit", "ppdp.serve.audit.v1",
+                           obs::MetricsRegistry::Global().counter("serve.audit.requests"),
+                           /*default_epsilon=*/0.0};
+  const obs::PrivacyLedger* ledger = nullptr;
+  Serve(
+      route, request, response, [](const JsonValue&, Call*) { return std::string(); },
+      [&](Call* call) -> std::optional<Refusal> {
+        ledger = tenants_.FindTenant(call->tenant());
+        if (ledger == nullptr) return Refusal{404, "unknown tenant: " + call->tenant()};
+        return std::nullopt;
+      },
+      [&](const Call&, JsonValue* doc) {
+        const obs::PrivacyLedger::BudgetSnapshot snapshot = ledger->snapshot();
+        doc->Set("budget", JsonValue::Number(snapshot.budget));
+        doc->Set("spent", JsonValue::Number(snapshot.spent));
+        doc->Set("remaining", JsonValue::Number(snapshot.remaining));
+        doc->Set("rejected", JsonValue::Number(static_cast<double>(snapshot.rejected)));
+        JsonValue entries = JsonValue::Array();
+        for (const obs::PrivacyLedger::Entry& entry : ledger->entries()) {
+          JsonValue entry_json = JsonValue::Object();
+          entry_json.Set("label", JsonValue::String(entry.label));
+          entry_json.Set("mechanism", JsonValue::String(entry.mechanism));
+          entry_json.Set("calls", JsonValue::Number(static_cast<double>(entry.calls)));
+          entry_json.Set("total_epsilon", JsonValue::Number(entry.total_epsilon));
+          entries.Append(std::move(entry_json));
+        }
+        doc->Set("entries", std::move(entries));
+      });
 }
 
 void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests =
-      obs::MetricsRegistry::Global().counter("serve.aggregate.requests");
-  static obs::Counter& budget_rejected =
-      obs::MetricsRegistry::Global().counter("serve.budget.rejected");
-  requests.Increment();
-  RequestContext context("/v1/dp/aggregate", request);
-  response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
-  if (draining()) {
-    JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  StageTimer parse_stage(&context, "serve.parse");
-  Result<JsonValue> body = request.Json();
-  if (!body.ok()) {
-    JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-    return;
-  }
-  const std::string tenant = body->GetStringOr("tenant", "");
-  context.record.tenant = tenant;
-  const std::string op = body->GetStringOr("op", "histogram");
-  const double epsilon = body->GetNumberOr("epsilon", 0.1);
-  const double deadline = RequestDeadline(*body, started, options_.request_deadline_seconds);
-  parse_stage.Stop();
-
-  StageTimer admit_stage(&context, "serve.admission.queue");
-  AdmissionSlot slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline)
-                                      : admission_.TryAdmit();
-  admit_stage.Stop();
-  ObserveQueueDepth();
-  if (!slot.held()) {
-    if (deadline > 0.0) {
-      DeadlineExceededCounter().Increment();
-      JsonError(response, 504, "deadline exceeded while queued for admission");
-      return;
-    }
-    JsonValue detail = JsonValue::Object();
-    detail.Set("pending", JsonValue::Number(static_cast<double>(admission_.pending())));
-    detail.Set("max_pending", JsonValue::Number(static_cast<double>(admission_.max_pending())));
-    JsonError(response, 429, "admission queue full", std::move(detail));
-    return;
-  }
-  if (deadline > 0.0 && obs::MonotonicSeconds() >= deadline) {
-    DeadlineExceededCounter().Increment();
-    JsonError(response, 504, "deadline exceeded");
-    return;
-  }
-
-  StageTimer spend_stage(&context, "serve.ledger.spend");
-  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
-  if (!ledger.ok()) {
-    const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
-    JsonError(response, status, ledger.status().ToString());
-    return;
-  }
-  Status spend = tenants_.SpendDurable(*ledger, tenant, "dp.aggregate", op, epsilon);
-  spend_stage.Stop();
-  if (!spend.ok()) {
-    if (spend.code() == StatusCode::kUnavailable) {
-      WalUnavailableCounter().Increment();
-      JsonError(response, 503, spend.ToString());
-      return;
-    }
-    budget_rejected.Increment();
-    obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    JsonValue detail = JsonValue::Object();
-    detail.Set("tenant", JsonValue::String(tenant));
-    detail.Set("requested_epsilon", JsonValue::Number(epsilon));
-    detail.Set("remaining_epsilon", JsonValue::Number(snapshot.remaining));
-    detail.Set("budget", JsonValue::Number(snapshot.budget));
-    JsonError(response, 403, "privacy budget exhausted", std::move(detail));
-    return;
-  }
-  context.record.epsilon = epsilon;
-  {
-    const obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    slo_->RecordSpend(tenant, epsilon, snapshot.remaining, snapshot.budget);
-    slo_->EvaluateIfDue();
-  }
-
-  // Fresh noise per request: the sequence number keeps streams disjoint
-  // while the base seed keeps a daemon run reproducible end to end.
-  StageTimer publish_stage(&context, "serve.publish");
-  Rng rng(options_.seed + 0x9e3779b97f4a7c15ULL *
-                              (1 + aggregate_sequence_.fetch_add(1, std::memory_order_relaxed)));
+  static const Route route{"/v1/dp/aggregate", "ppdp.serve.aggregate.v1",
+                           obs::MetricsRegistry::Global().counter("serve.aggregate.requests"),
+                           /*default_epsilon=*/0.1};
+  std::string op;
+  double q = 0.5;
+  int64_t lo = 0, hi = 0;
   JsonValue result;
-  if (op == "histogram") {
-    std::vector<double> buckets = dp::NoisyHistogram(degrees_, degree_domain_, epsilon, rng);
-    result = JsonValue::Array();
-    for (double bucket : buckets) result.Append(JsonValue::Number(bucket));
-  } else if (op == "quantile") {
-    const double q = body->GetNumberOr("q", 0.5);
-    Result<int64_t> quantile = dp::PrivateQuantile(degrees_, degree_domain_, q, epsilon, rng);
-    if (!quantile.ok()) {
-      JsonError(response, 400, quantile.status().ToString());
-      return;
-    }
-    result = JsonValue::Number(static_cast<double>(*quantile));
-  } else if (op == "range_count") {
-    const int64_t lo = static_cast<int64_t>(body->GetNumberOr("lo", 0));
-    const int64_t hi = static_cast<int64_t>(
-        body->GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
-    if (lo < 0 || hi < lo || static_cast<size_t>(hi) >= degree_domain_) {
-      JsonError(response, 400, "range [lo, hi] out of degree domain");
-      return;
-    }
-    size_t count = 0;
-    for (int64_t degree : degrees_) {
-      if (degree >= lo && degree <= hi) ++count;
-    }
-    result = JsonValue::Number(dp::NoisyCount(count, epsilon, rng));
-  } else {
-    JsonError(response, 400, "unknown op: " + op +
-                                 " (expected histogram | quantile | range_count)");
-    return;
-  }
-  publish_stage.Stop();
-
-  StageTimer write_stage(&context, "serve.write");
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("ppdp.serve.aggregate.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
-  doc.Set("tenant", JsonValue::String(tenant));
-  doc.Set("op", JsonValue::String(op));
-  doc.Set("epsilon_spent", JsonValue::Number(epsilon));
-  doc.Set("remaining_epsilon", JsonValue::Number((*ledger)->remaining()));
-  doc.Set("result", std::move(result));
-  response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
+  Serve(
+      route, request, response,
+      [&](const JsonValue& body, Call* call) -> std::string {
+        op = body.GetStringOr("op", "histogram");
+        if (op == "quantile") {
+          q = body.GetNumberOr("q", 0.5);
+          if (!(q >= 0.0 && q <= 1.0)) {
+            return Status::InvalidArgument("q must be in [0,1]").ToString();
+          }
+        } else if (op == "range_count") {
+          lo = static_cast<int64_t>(body.GetNumberOr("lo", 0));
+          hi = static_cast<int64_t>(
+              body.GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
+          if (lo < 0 || hi < lo || static_cast<size_t>(hi) >= degree_domain_) {
+            return "range [lo, hi] out of degree domain";
+          }
+        } else if (op != "histogram") {
+          return "unknown op: " + op + " (expected histogram | quantile | range_count)";
+        }
+        call->label = "dp.aggregate";
+        call->mechanism = op;
+        return "";
+      },
+      [&](Call* call) -> std::optional<Refusal> {
+        // Fresh noise per request: the sequence number keeps streams
+        // disjoint while the base seed keeps a daemon run reproducible end
+        // to end.
+        StageTimer publish_stage(&call->context, "serve.publish");
+        Rng rng(options_.seed +
+                0x9e3779b97f4a7c15ULL *
+                    (1 + aggregate_sequence_.fetch_add(1, std::memory_order_relaxed)));
+        if (op == "histogram") {
+          result = JsonValue::Array();
+          for (double bucket : dp::NoisyHistogram(degrees_, degree_domain_, call->epsilon, rng)) {
+            result.Append(JsonValue::Number(bucket));
+          }
+        } else if (op == "quantile") {
+          Result<int64_t> quantile =
+              dp::PrivateQuantile(degrees_, degree_domain_, q, call->epsilon, rng);
+          if (!quantile.ok()) return Refusal{400, quantile.status().ToString()};
+          result = JsonValue::Number(static_cast<double>(*quantile));
+        } else {
+          size_t count = 0;
+          for (int64_t degree : degrees_) {
+            if (degree >= lo && degree <= hi) ++count;
+          }
+          result = JsonValue::Number(dp::NoisyCount(count, call->epsilon, rng));
+        }
+        return std::nullopt;
+      },
+      [&](const Call& call, JsonValue* doc) {
+        doc->Set("op", JsonValue::String(op));
+        doc->Set("epsilon_spent", JsonValue::Number(call.epsilon));
+        doc->Set("remaining_epsilon", JsonValue::Number(call.ledger->remaining()));
+        doc->Set("result", std::move(result));
+      });
 }
 
 void ServeApp::HandleRequestz(const obs::HttpRequest& request, obs::HttpResponse* response) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,9 @@ struct ServeOptions {
 ///                          "range_count").
 ///
 /// plus the inherited introspection endpoints (/metrics, /statusz, ...) and
-/// the SLO surfaces /alertz and /sloz. Degradation: an exhausted tenant
+/// the SLO surfaces /alertz and /sloz. Every /v1 request runs the one
+/// lifecycle in Serve, so a malformed request is a 400 answered before
+/// admission that charges no ε. Degradation: an exhausted tenant
 /// gets 403 with remaining-ε detail while other tenants are unaffected; a
 /// full admission queue answers 429. /healthz (overridden here) is
 /// tri-state — `failing` when a page-severity alert fires, `degraded` for
@@ -151,18 +154,31 @@ class ServeApp {
   };
   HealthVerdict Health() const;
 
+  struct Route;
+  struct Call;
+  struct Refusal;
+
+  /// The request lifecycle every /v1 endpoint runs through, written once:
+  /// draining 503 → parse (every 400) → admission (429/504) → spend
+  /// (403/503; spending endpoints only) → run → write (200). The endpoint
+  /// supplies three steps: `parse(body, call)` reads its own fields and
+  /// returns a 400's error text ("" = valid); `run(call)` does its work
+  /// after the spend and may refuse; `write(call, doc)` appends its fields
+  /// to the 200 body after schema, request_id and tenant. Serve itself owns
+  /// the RequestContext, traceparent, in-flight count, admission slot,
+  /// status/bytes stamping and RequestObserver::Complete.
+  template <typename Parse, typename Run, typename Write>
+  void Serve(const Route& route, const obs::HttpRequest& request, obs::HttpResponse* response,
+             Parse parse, Run run, Write write);
+
+  /// Admits `call` (bounded by its deadline) into `slot`, then charges its
+  /// ε to its tenant's ledger and feeds the SLO burn window. A refusal
+  /// means nothing was charged.
+  std::optional<Refusal> AdmitAndSpend(Call* call, AdmissionSlot* slot);
+
   /// Records the admission queue depth into the SLO engine (sampled after
   /// each admission attempt on the spending endpoints).
   void ObserveQueueDepth();
-
-  /// Runs `task` inline on the calling connection thread. Publishers
-  /// parallelize internally via ParallelFor, which enlists pool workers as
-  /// helpers and requires the caller NOT to be a pool worker itself: a
-  /// worker blocked waiting on helpers it enqueued behind other blocked
-  /// workers deadlocks the pool. Connection threads are bounded by
-  /// http_max_conns, so running inline keeps concurrency capped without
-  /// ever parking a pool thread.
-  Result<core::PublishOutput> RunPublish(std::function<Result<core::PublishOutput>()> task);
 
   core::Publisher* PublisherFor(core::PublisherKind kind) const;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ppdp::core {
 namespace {
 
@@ -267,6 +269,12 @@ TEST(PublisherInterfaceTest, PublishRejectsBadConfigInsteadOfCrashing) {
   PublishConfig bad_trait;
   bad_trait.target_traits = {catalog.num_traits() + 7};
   EXPECT_EQ((*genome)->Publish(bad_trait).status().code(), StatusCode::kInvalidArgument);
+  for (double delta : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    PublishConfig bad_delta;
+    bad_delta.delta = delta;
+    EXPECT_EQ((*genome)->Publish(bad_delta).status().code(), StatusCode::kInvalidArgument)
+        << delta;
+  }
 }
 
 }  // namespace

@@ -356,27 +356,76 @@ TEST(ServeAppTest, AggregateOpsValidateInputs) {
   ASSERT_TRUE(quantile.ok());
   EXPECT_EQ(quantile->status, 200) << quantile->body;
 
-  auto unknown = PostJson(port, "/v1/dp/aggregate", AggregateBody("ops", 0.2, "median"));
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(unknown->status, 400);
+  // Every malformed request is a 400 answered before the spend: the
+  // ledger neither charges nor counts a rejection, and health stays ok.
+  JsonValue out_of_unit = AggregateBody("ops", 0.3, "quantile");
+  out_of_unit.Set("q", JsonValue::Number(2));
+  JsonValue reversed = AggregateBody("ops", 0.5, "range_count");
+  reversed.Set("lo", JsonValue::Number(5));
+  reversed.Set("hi", JsonValue::Number(2));
+  JsonValue past_domain = AggregateBody("ops", 0.5, "range_count");
+  past_domain.Set("hi", JsonValue::Number(1e6));
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"/v1/dp/aggregate", AggregateBody("ops", 0.5, "median").Dump()},
+      {"/v1/dp/aggregate", out_of_unit.Dump()},
+      {"/v1/dp/aggregate", reversed.Dump()},
+      {"/v1/dp/aggregate", past_domain.Dump()},
+      {"/v1/dp/aggregate", AggregateBody("ops", 0.0).Dump()},
+      {"/v1/dp/aggregate", AggregateBody("ops", -0.5).Dump()},
+      {"/v1/dp/aggregate", "{not json"},
+      {"/v1/dp/aggregate", AggregateBody("bad tenant!", 0.2).Dump()},
+      {"/v1/publish", PublishBody("ops", 0.2, "mystery").Dump()},
+      {"/v1/publish", PublishBody("ops", 0.0).Dump()},
+  };
+  for (const auto& [path, body] : malformed) {
+    SCOPED_TRACE(body);
+    auto response = HttpRequest(port, "POST", path, body);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 400) << response->body;
 
-  auto bad_json = HttpRequest(port, "POST", "/v1/dp/aggregate", "{not json");
-  ASSERT_TRUE(bad_json.ok());
-  EXPECT_EQ(bad_json->status, 400);
-
-  auto bad_tenant = PostJson(port, "/v1/dp/aggregate", AggregateBody("bad tenant!", 0.2));
-  ASSERT_TRUE(bad_tenant.ok());
-  EXPECT_EQ(bad_tenant->status, 400);
+    JsonValue audit_body = JsonValue::Object();
+    audit_body.Set("tenant", JsonValue::String("ops"));
+    auto audit = PostJson(port, "/v1/audit", audit_body);
+    ASSERT_TRUE(audit.ok());
+    ASSERT_EQ(audit->status, 200);
+    auto audited = audit->Json();
+    ASSERT_TRUE(audited.ok());
+    EXPECT_NEAR(audited->GetNumberOr("spent", -1.0), 0.4, 1e-12);
+    EXPECT_EQ(audited->GetNumberOr("rejected", -1.0), 0.0);
+    auto health = Get(port, "/healthz");
+    ASSERT_TRUE(health.ok());
+    EXPECT_EQ(health->body, "ok\n");
+  }
 
   JsonValue unknown_audit = JsonValue::Object();
   unknown_audit.Set("tenant", JsonValue::String("never-seen"));
   auto audit = PostJson(port, "/v1/audit", unknown_audit);
   ASSERT_TRUE(audit.ok());
   EXPECT_EQ(audit->status, 404);
+  (*app)->Stop();
+}
 
-  auto bad_kind = PostJson(port, "/v1/publish", PublishBody("ops", 0.2, "mystery"));
-  ASSERT_TRUE(bad_kind.ok());
-  EXPECT_EQ(bad_kind->status, 400);
+TEST(ServeAppTest, GenomeDeltaOutsideUnitIntervalIs400AndTheDaemonServesOn) {
+  auto app = ServeApp::Create(FastOptions());
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+
+  for (double delta : {1.5, -0.1}) {
+    JsonValue body = PublishBody("delta", 0.1);
+    JsonValue config = JsonValue::Object();
+    config.Set("delta", JsonValue::Number(delta));
+    body.Set("config", std::move(config));
+    auto response = PostJson(port, "/v1/publish", body);
+    ASSERT_TRUE(response.ok()) << "daemon died on delta " << delta;
+    EXPECT_EQ(response->status, 400) << response->body;
+    auto error = response->Json();
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->GetStringOr("error", ""), "INVALID_ARGUMENT: delta must be in [0,1]");
+  }
+  auto next = PostJson(port, "/v1/publish", PublishBody("delta", 0.1));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->status, 200) << next->body;
   (*app)->Stop();
 }
 
@@ -906,6 +955,220 @@ TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
   EXPECT_TRUE(LoadAccessLog(log_path).ok()) << "waiters name a well-formed leader";
   ASSERT_FALSE(leader_id.empty());
   for (const std::string& id : waiter_leader_ids) EXPECT_EQ(id, leader_id);
+  std::remove(log_path.c_str());
+}
+
+/// One request's expected passage through the serve lifecycle.
+struct LifecycleCase {
+  std::string name;
+  std::string path;
+  std::string body;
+  /// Hold every admission slot while the request is sent (429 / 504).
+  bool queue_full = false;
+  int status = 200;
+  /// The exact ppdp.serve.error.v1 body; unused for a 200.
+  std::string error_body;
+  /// The access record's stage names, in order.
+  std::vector<std::string> stages;
+  /// The tenant whose ledger is read after the request, and its spent ε.
+  std::string tenant;
+  double spent = 0.0;
+};
+
+std::string ErrorBody(const std::string& error, const std::string& detail = "") {
+  return "{\"schema\":\"ppdp.serve.error.v1\",\"error\":" +
+         JsonValue::String(error).Dump() + (detail.empty() ? "" : ",\"detail\":" + detail) +
+         "}\n";
+}
+
+std::vector<std::string> MemberNames(const JsonValue& doc) {
+  std::vector<std::string> names;
+  for (const auto& [name, unused_value] : doc.members()) names.push_back(name);
+  return names;
+}
+
+uint64_t RequestSecondsCount() {
+  for (const auto& summary : obs::MetricsRegistry::Global().HistogramSummaries()) {
+    if (summary.name == "serve.request.seconds") return summary.count;
+  }
+  return 0;
+}
+
+TEST(ServeAppLifecycleTest, EachEndpointOutcomePinsStatusBodyStagesAndSpend) {
+  const std::string log_path = TempAccessLogPath("lifecycle");
+  ServeOptions options = FastOptions();
+  options.access_log = log_path;
+  options.max_pending = 1;
+  options.tenant_budget = 1.0;
+  auto app = ServeApp::Create(options);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+
+  const std::vector<std::string> kParse = {"serve.parse"};
+  const std::vector<std::string> kQueued = {"serve.parse", "serve.admission.queue"};
+  const std::vector<std::string> kSpent = {"serve.parse", "serve.admission.queue",
+                                           "serve.ledger.spend"};
+  const std::vector<std::string> kAggregated = {"serve.parse", "serve.admission.queue",
+                                                "serve.ledger.spend", "serve.publish",
+                                                "serve.write"};
+  const std::vector<std::string> kPublished = {
+      "serve.parse",         "serve.admission.queue", "serve.ledger.spend",
+      "serve.coalesce.wait", "serve.publish",         "serve.write"};
+  const std::string bad_json =
+      "invalid JSON body: " + JsonValue::Parse("{not json").status().ToString();
+  const std::string bad_tenant = TenantRegistry::ValidateName("bad tenant!").ToString();
+  const std::string bad_epsilon = Status::InvalidArgument("epsilon must be positive").ToString();
+  const std::string queue_full = ErrorBody("admission queue full",
+                                           "{\"pending\":1,\"max_pending\":1}");
+  const std::string queued_out = ErrorBody("deadline exceeded while queued for admission");
+  const std::string agg = "/v1/dp/aggregate";
+
+  const std::vector<LifecycleCase> cases = {
+      {"aggregate 200", agg, R"({"tenant":"agg","op":"histogram","epsilon":0.25})", false, 200,
+       "", kAggregated, "agg", 0.25},
+      {"aggregate bad JSON", agg, "{not json", false, 400, ErrorBody(bad_json), kParse, "agg",
+       0.25},
+      {"aggregate unknown op", agg, R"({"tenant":"shape","op":"median","epsilon":0.5})", false,
+       400, ErrorBody("unknown op: median (expected histogram | quantile | range_count)"),
+       kParse, "shape", 0.0},
+      {"aggregate q outside [0,1]", agg,
+       R"({"tenant":"shape","op":"quantile","q":2,"epsilon":0.3})", false, 400,
+       ErrorBody(Status::InvalidArgument("q must be in [0,1]").ToString()), kParse, "shape", 0.0},
+      {"aggregate empty range", agg,
+       R"({"tenant":"shape","op":"range_count","lo":5,"hi":2,"epsilon":0.5})", false, 400,
+       ErrorBody("range [lo, hi] out of degree domain"), kParse, "shape", 0.0},
+      {"aggregate zero epsilon", agg, R"({"tenant":"shape","op":"histogram","epsilon":0})", false,
+       400, ErrorBody(bad_epsilon), kParse, "shape", 0.0},
+      {"aggregate bad tenant", agg, R"({"tenant":"bad tenant!","epsilon":0.1})", false, 400,
+       ErrorBody(bad_tenant), kParse, "agg", 0.25},
+      {"aggregate 429", agg, R"({"tenant":"agg","epsilon":0.25})", true, 429, queue_full,
+       kQueued, "agg", 0.25},
+      {"aggregate 504", agg, R"({"tenant":"agg","epsilon":0.25,"deadline_ms":30})", true, 504,
+       queued_out, kQueued, "agg", 0.25},
+      {"aggregate 403", agg, R"({"tenant":"agg","epsilon":1})", false, 403,
+       ErrorBody("privacy budget exhausted",
+                 R"({"tenant":"agg","requested_epsilon":1,"remaining_epsilon":0.75,"budget":1})"),
+       kSpent, "agg", 0.25},
+      {"publish 200", "/v1/publish", R"({"tenant":"pub","kind":"genome","epsilon":0.25})", false,
+       200, "", kPublished, "pub", 0.25},
+      {"publish bad JSON", "/v1/publish", "[1,", false, 400,
+       ErrorBody("invalid JSON body: " + JsonValue::Parse("[1,").status().ToString()), kParse,
+       "pub", 0.25},
+      {"publish unknown kind", "/v1/publish", R"({"tenant":"pub","kind":"mystery"})", false, 400,
+       ErrorBody(core::ParsePublisherKind("mystery").status().ToString()), kParse, "pub", 0.25},
+      {"publish negative epsilon", "/v1/publish",
+       R"({"tenant":"shape","kind":"genome","epsilon":-1})", false, 400, ErrorBody(bad_epsilon),
+       kParse, "shape", 0.0},
+      {"publish bad tenant", "/v1/publish", R"({"tenant":"","kind":"genome"})", false, 400,
+       ErrorBody(TenantRegistry::ValidateName("").ToString()), kParse, "pub", 0.25},
+      {"publish 429", "/v1/publish", R"({"tenant":"pub","kind":"genome","epsilon":0.25})", true,
+       429, queue_full, kQueued, "pub", 0.25},
+      {"publish 504", "/v1/publish",
+       R"({"tenant":"pub","kind":"genome","epsilon":0.25,"deadline_ms":30})", true, 504,
+       queued_out, kQueued, "pub", 0.25},
+      {"publish 403", "/v1/publish", R"({"tenant":"pub","kind":"genome","epsilon":1})", false,
+       403,
+       ErrorBody("privacy budget exhausted",
+                 R"({"tenant":"pub","requested_epsilon":1,"remaining_epsilon":0.75,"budget":1})"),
+       kSpent, "pub", 0.25},
+      {"audit 200 past a full queue", "/v1/audit", R"({"tenant":"agg"})", true, 200, "",
+       {"serve.parse", "serve.write"}, "agg", 0.25},
+      {"audit bad JSON", "/v1/audit", "{not json", false, 400, ErrorBody(bad_json), kParse, "agg",
+       0.25},
+      {"audit bad tenant", "/v1/audit", R"({"tenant":"bad tenant!"})", false, 400,
+       ErrorBody(bad_tenant), kParse, "agg", 0.25},
+      {"audit 404", "/v1/audit", R"({"tenant":"never-seen"})", false, 404,
+       ErrorBody("unknown tenant: never-seen"), kParse, "never-seen", 0.0},
+  };
+
+  const uint64_t timed_before = RequestSecondsCount();
+  uint64_t ok_responses = 0;
+  std::map<std::string, std::pair<std::string, std::vector<std::string>>> expected_stages;
+  for (const LifecycleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::optional<AdmissionSlot> held;
+    if (c.queue_full) {
+      held.emplace((*app)->admission().TryAdmit());
+      ASSERT_TRUE(held->held());
+    }
+    auto response = HttpRequest(port, "POST", c.path, c.body);
+    held.reset();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, c.status) << response->body;
+    std::string request_id;
+    ASSERT_TRUE(ParseTraceparent(response->HeaderOr("traceparent", ""), &request_id));
+    expected_stages[request_id] = {c.name, c.stages};
+    if (c.status == 200) {
+      ++ok_responses;
+      auto doc = response->Json();
+      ASSERT_TRUE(doc.ok()) << response->body;
+      EXPECT_EQ(doc->GetStringOr("request_id", ""), request_id);
+      std::vector<std::string> keys;
+      if (c.path == "/v1/publish") {
+        keys = {"schema",     "request_id",    "tenant",            "kind",  "coalesced",
+                "batch_size", "epsilon_spent", "remaining_epsilon", "output"};
+      } else if (c.path == "/v1/audit") {
+        keys = {"schema", "request_id", "tenant",   "budget",
+                "spent",  "remaining",  "rejected", "entries"};
+      } else {
+        keys = {"schema",        "request_id",        "tenant", "op",
+                "epsilon_spent", "remaining_epsilon", "result"};
+      }
+      EXPECT_EQ(MemberNames(*doc), keys);
+    } else {
+      EXPECT_EQ(response->body, c.error_body);
+    }
+    const obs::PrivacyLedger* ledger = (*app)->tenants().FindTenant(c.tenant);
+    EXPECT_NEAR(ledger == nullptr ? 0.0 : ledger->spent(), c.spent, 1e-12);
+    EXPECT_EQ(RequestSecondsCount() - timed_before, ok_responses);
+  }
+
+  // 503 while draining: a deadlined request parked in admission keeps the
+  // drain open while every endpoint is asked once more.
+  std::optional<AdmissionSlot> held((*app)->admission().TryAdmit());
+  std::thread parked([&] {
+    // Only its time in flight matters: once it leaves the handler the drain
+    // ends, and Stop() may close its socket before the 504 is written.
+    (void)HttpRequest(port, "POST", agg,
+                      R"({"tenant":"agg","epsilon":0.25,"deadline_ms":1500})");
+  });
+  while ((*app)->inflight() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::thread stopper([&] { (*app)->Stop(); });
+  while (!(*app)->draining()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const char* path : {"/v1/publish", "/v1/audit", "/v1/dp/aggregate"}) {
+    SCOPED_TRACE(path);
+    auto response = HttpRequest(port, "POST", path, R"({"tenant":"agg","epsilon":0.25})");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 503);
+    EXPECT_EQ(response->body, ErrorBody("draining"));
+    std::string request_id;
+    ASSERT_TRUE(ParseTraceparent(response->HeaderOr("traceparent", ""), &request_id));
+    expected_stages[request_id] = {std::string("draining ") + path, {}};
+  }
+  parked.join();
+  stopper.join();
+  held.reset();
+  EXPECT_NEAR((*app)->tenants().FindTenant("agg")->spent(), 0.25, 1e-12);
+  EXPECT_EQ(RequestSecondsCount() - timed_before, ok_responses);
+
+  // Every answered request left one access record with the pinned key
+  // order and stage sequence.
+  size_t matched = 0;
+  for (const JsonValue& record : ReadAccessLog(log_path)) {
+    std::vector<std::string> keys = {"schema",       "request_id", "span_id",  "tenant",
+                                     "endpoint",     "status",     "epsilon",  "total_micros",
+                                     "bytes_in",     "bytes_out",  "coalesce", "stages"};
+    if (record.Has("leader_request_id")) keys.insert(keys.end() - 1, "leader_request_id");
+    EXPECT_EQ(MemberNames(record), keys);
+    auto it = expected_stages.find(record.GetStringOr("request_id", ""));
+    if (it == expected_stages.end()) continue;
+    ++matched;
+    const JsonValue* stages = record.Find("stages");
+    ASSERT_NE(stages, nullptr);
+    EXPECT_EQ(MemberNames(*stages), it->second.second) << it->second.first;
+  }
+  EXPECT_EQ(matched, expected_stages.size());
   std::remove(log_path.c_str());
 }
 
