@@ -9,6 +9,16 @@
 
 namespace ppdp::core {
 
+namespace {
+
+/// The traits a publish protects: the config's, or trait 0 when it names
+/// none.
+std::vector<size_t> TargetTraits(const PublishConfig& config) {
+  return config.target_traits.empty() ? std::vector<size_t>{0} : config.target_traits;
+}
+
+}  // namespace
+
 GenomePublisher::GenomePublisher(genomics::GwasCatalog catalog, genomics::TargetView view,
                                  int threads)
     : catalog_(std::move(catalog)), view_(std::move(view)), threads_(threads) {}
@@ -50,21 +60,25 @@ genomics::PrivacyReport GenomePublisher::Privacy(const std::vector<size_t>& targ
   return genomics::EvaluateTraitPrivacy(Attack(method), target_traits);
 }
 
-Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) const {
+Status GenomePublisher::Validate(const PublishConfig& config) const {
   // δ arrives from the network; out of range (or NaN) it would trip the
   // sanitizer's PPDP_CHECK and abort a serving daemon.
   if (!(config.delta >= 0.0 && config.delta <= 1.0)) {
     return Status::InvalidArgument("delta must be in [0,1]");
   }
-  std::vector<size_t> traits = config.target_traits;
-  if (traits.empty()) traits.push_back(0);
-  for (size_t trait : traits) {
+  for (size_t trait : TargetTraits(config)) {
     if (trait >= catalog_.num_traits()) {
       return Status::InvalidArgument("target trait " + std::to_string(trait) +
                                      " out of range (catalog has " +
                                      std::to_string(catalog_.num_traits()) + " traits)");
     }
   }
+  return Status::Ok();
+}
+
+Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) const {
+  PPDP_RETURN_IF_ERROR(Validate(config));
+  const std::vector<size_t> traits = TargetTraits(config);
   obs::TraceSpan span("genome.publish");
   genomics::GputOptions options;
   options.delta = config.delta;

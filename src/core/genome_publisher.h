@@ -35,6 +35,8 @@ class GenomePublisher : public Publisher {
 
   PublisherKind kind() const override { return PublisherKind::kGenome; }
 
+  Status Validate(const PublishConfig& config) const override;
+
   /// Unified entry point: greedy GPUT sanitization toward δ-privacy
   /// (config.delta) of config.target_traits on a working copy — unlike
   /// PublishWithDeltaPrivacy the held view is untouched. privacy_* is min

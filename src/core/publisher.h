@@ -82,9 +82,15 @@ class Publisher {
 
   virtual PublisherKind kind() const = 0;
 
+  /// The config checks that depend on the corpus (δ range, trait index,
+  /// utility category): kInvalidArgument when `config` cannot run. Cheap
+  /// and side-effect free, so a server can refuse a request before
+  /// charging it.
+  virtual Status Validate(const PublishConfig& config) const = 0;
+
   /// One full measure → sanitize → measure publishing run under `config`.
-  /// Invalid config values (an out-of-range utility category or trait
-  /// index) surface as kInvalidArgument, not a crash.
+  /// Calls Validate first: invalid config values surface as
+  /// kInvalidArgument, not a crash.
   virtual Result<PublishOutput> Publish(const PublishConfig& config) const = 0;
 };
 

@@ -99,12 +99,17 @@ sanitize::SanitizeReport SocialPublisher::SanitizeCollective(
   return report;
 }
 
-Result<PublishOutput> SocialPublisher::Publish(const PublishConfig& config) const {
+Status SocialPublisher::Validate(const PublishConfig& config) const {
   if (config.utility_category >= graph_.num_categories()) {
     return Status::InvalidArgument(
         "utility_category " + std::to_string(config.utility_category) + " out of range (graph has " +
         std::to_string(graph_.num_categories()) + " categories)");
   }
+  return Status::Ok();
+}
+
+Result<PublishOutput> SocialPublisher::Publish(const PublishConfig& config) const {
+  PPDP_RETURN_IF_ERROR(Validate(config));
   obs::TraceSpan span("social.publish");
   const classify::LocalModel local = classify::LocalModel::kNaiveBayes;
   sanitize::PrivacyUtility before = MeasurePrivacyUtility(config.utility_category, local);

@@ -35,6 +35,8 @@ class SocialPublisher : public Publisher {
 
   PublisherKind kind() const override { return PublisherKind::kSocial; }
 
+  Status Validate(const PublishConfig& config) const override;
+
   /// Unified entry point: measures the collective-attack accuracy and
   /// utility accuracy, runs Algorithm 2 on a working copy (the held graph
   /// is untouched), and measures again. privacy_* is adversary accuracy on

@@ -54,12 +54,17 @@ Result<tradeoff::StrategyResult> TradeoffPublisher::OptimizeAttributeStrategy(
   return result;
 }
 
-Result<PublishOutput> TradeoffPublisher::Publish(const PublishConfig& config) const {
+Status TradeoffPublisher::Validate(const PublishConfig& config) const {
   if (config.utility_category >= graph_.num_categories()) {
     return Status::InvalidArgument(
         "utility_category " + std::to_string(config.utility_category) + " out of range (graph has " +
         std::to_string(graph_.num_categories()) + " categories)");
   }
+  return Status::Ok();
+}
+
+Result<PublishOutput> TradeoffPublisher::Publish(const PublishConfig& config) const {
+  PPDP_RETURN_IF_ERROR(Validate(config));
   obs::TraceSpan span("tradeoff.publish");
   tradeoff::TradeoffConfig tradeoff_config;
   tradeoff_config.num_attributes = config.num_attributes;

@@ -31,6 +31,8 @@ class TradeoffPublisher : public Publisher {
 
   PublisherKind kind() const override { return PublisherKind::kTradeoff; }
 
+  Status Validate(const PublishConfig& config) const override;
+
   /// Unified entry point: applies config.strategy with the config's counts
   /// and δ, plus one zero-op strategy run to measure baseline latent
   /// privacy. privacy_* is latent privacy (adversary 0/1 error, higher =

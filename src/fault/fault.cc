@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -46,14 +47,7 @@ Status FaultPlan::Validate() const {
   return Status::Ok();
 }
 
-uint64_t PointHash(const std::string& point) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64-bit offset basis
-  for (unsigned char c : point) {
-    h ^= c;
-    h *= 0x100000001B3ULL;  // FNV prime
-  }
-  return h;
-}
+uint64_t PointHash(const std::string& point) { return Fnv1a64(point.data(), point.size()); }
 
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* injector = new FaultInjector();

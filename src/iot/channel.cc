@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -13,11 +14,13 @@ namespace ppdp::iot {
 
 namespace {
 
+/// Folds `value`'s little-endian bytes into the running FNV-1a hash `h`.
 void HashMix(uint64_t& h, uint64_t value) {
+  unsigned char bytes[8];
   for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xFFu;
-    h *= 0x100000001B3ULL;
+    bytes[byte] = static_cast<unsigned char>(value >> (8 * byte));
   }
+  h = Fnv1a64(bytes, sizeof(bytes), h);
 }
 
 /// Frame magic: version-tagged so a future layout can bump the last byte.
@@ -41,7 +44,7 @@ uint64_t GetWord(std::string_view bytes, size_t offset) {
 }  // namespace
 
 uint64_t EnvelopeChecksum(const Envelope& envelope) {
-  uint64_t h = 0xCBF29CE484222325ULL;
+  uint64_t h = kFnv1a64Basis;
   HashMix(h, envelope.device);
   HashMix(h, envelope.seq);
   HashMix(h, static_cast<uint64_t>(envelope.reading.sensor));

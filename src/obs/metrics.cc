@@ -153,6 +153,16 @@ std::string SanitizeMetricName(std::string_view name) {
   return out;
 }
 
+bool IsEntityName(std::string_view name) {
+  if (name.empty() || name.size() > 64) return false;
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+                    c == '_' || c == '.' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 const std::vector<double>& DefaultLatencyBoundsSeconds() {
   static const std::vector<double> bounds = {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2,
                                              3e-2, 1e-1, 3e-1, 1.0,  3.0,  10.0};

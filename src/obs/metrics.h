@@ -112,6 +112,10 @@ const std::vector<double>& DefaultLatencyBoundsSeconds();
 /// input becomes "_".
 std::string SanitizeMetricName(std::string_view name);
 
+/// The one grammar for caller-chosen names that end up inside metric names
+/// (tenants, SLO rules): [A-Za-z0-9_.-]{1,64}.
+bool IsEntityName(std::string_view name);
+
 /// Process-wide named-metric registry. Lookup creates on first use and
 /// returns a stable reference (entries are never removed; Reset() zeroes
 /// values but keeps registrations, so cached references stay valid).

@@ -3,6 +3,7 @@
 #include <ctime>
 #include <fstream>
 
+#include "common/hash.h"
 #include "obs/log.h"
 #include "obs/recorder.h"
 
@@ -11,14 +12,10 @@ namespace ppdp::obs {
 Result<uint64_t> FileDigestFnv1a(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::NotFound("cannot open " + path + " for digesting");
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64-bit offset basis
+  uint64_t h = kFnv1a64Basis;
   char buffer[4096];
   while (file.read(buffer, sizeof(buffer)) || file.gcount() > 0) {
-    std::streamsize n = file.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(buffer[i]);
-      h *= 0x100000001B3ULL;  // FNV prime
-    }
+    h = Fnv1a64(buffer, static_cast<size_t>(file.gcount()), h);
     if (!file) break;
   }
   return h;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -10,14 +12,16 @@
 namespace ppdp::obs {
 namespace {
 
-bool ValidRuleName(const std::string& name) {
-  if (name.empty() || name.size() > 64) return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-                    c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
+constexpr uint64_t kAlertLogMaxBytes = 16 * 1024 * 1024;
+
+/// Ring length for every engine window: the longest slow window plus one
+/// one-second bucket of slack, so a sample stamped just after an
+/// evaluation read the clock cannot recycle a bucket that evaluation still
+/// reads.
+size_t RingBuckets(const std::vector<AlertRule>& rules) {
+  double longest = 0.0;
+  for (const AlertRule& rule : rules) longest = std::max(longest, rule.slow_window_seconds);
+  return static_cast<size_t>(std::ceil(longest)) + 1;
 }
 
 /// Windowed latency histogram bounds: finer than DefaultLatencyBoundsSeconds
@@ -33,7 +37,6 @@ std::vector<double> RequestLatencyBounds() {
 // ---------------------------------------------------------------- SlidingWindow
 
 SlidingWindow::SlidingWindow(Options options) : options_(std::move(options)) {
-  PPDP_CHECK(options_.bucket_seconds > 0) << "bucket_seconds must be positive";
   PPDP_CHECK(options_.num_buckets > 0) << "num_buckets must be positive";
   for (size_t i = 1; i < options_.bounds.size(); ++i) {
     PPDP_CHECK(options_.bounds[i] > options_.bounds[i - 1]) << "bounds must be increasing";
@@ -42,10 +45,9 @@ SlidingWindow::SlidingWindow(Options options) : options_(std::move(options)) {
 }
 
 SlidingWindow::Bucket& SlidingWindow::BucketFor(double now) {
-  const int64_t index = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  Bucket& bucket = ring_[static_cast<size_t>(((index % static_cast<int64_t>(ring_.size())) +
-                                              static_cast<int64_t>(ring_.size())) %
-                                             static_cast<int64_t>(ring_.size()))];
+  const int64_t index = static_cast<int64_t>(std::floor(now));
+  const int64_t size = static_cast<int64_t>(ring_.size());
+  Bucket& bucket = ring_[static_cast<size_t>(((index % size) + size) % size)];
   if (bucket.index != index) {
     bucket.index = index;
     bucket.count = 0;
@@ -59,13 +61,15 @@ SlidingWindow::Bucket& SlidingWindow::BucketFor(double now) {
   return bucket;
 }
 
-int64_t SlidingWindow::FirstIndex(double window_seconds, double now) const {
-  const double window = std::min(std::max(window_seconds, options_.bucket_seconds),
-                                 span_seconds());
-  const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  const int64_t covered =
-      static_cast<int64_t>(std::ceil(window / options_.bucket_seconds - 1e-9));
-  return current - covered + 1;
+template <typename Visit>
+void SlidingWindow::ForEachBucket(double window_seconds, double now, Visit visit) const {
+  const double window =
+      std::min(std::max(window_seconds, 1.0), static_cast<double>(ring_.size()));
+  const int64_t current = static_cast<int64_t>(std::floor(now));
+  const int64_t first = current - static_cast<int64_t>(std::ceil(window - 1e-9)) + 1;
+  for (const Bucket& bucket : ring_) {
+    if (bucket.index >= first && bucket.index <= current && bucket.count > 0) visit(bucket);
+  }
 }
 
 void SlidingWindow::Add(double value, double now) {
@@ -89,49 +93,32 @@ void SlidingWindow::Add(double value, double now) {
 
 SlidingWindow::WindowStats SlidingWindow::StatsOver(double window_seconds, double now) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t first = FirstIndex(window_seconds, now);
-  const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   WindowStats stats;
-  for (const Bucket& bucket : ring_) {
-    if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+  ForEachBucket(window_seconds, now, [&stats](const Bucket& bucket) {
     stats.count += bucket.count;
     stats.sum += bucket.sum;
-  }
+  });
   if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
   return stats;
-}
-
-double SlidingWindow::RateOver(double window_seconds, double now) const {
-  if (window_seconds <= 0) return 0.0;
-  return StatsOver(window_seconds, now).sum / window_seconds;
 }
 
 double SlidingWindow::QuantileOver(double window_seconds, double q, double now) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (options_.bounds.empty()) return 0.0;
-  const int64_t first = FirstIndex(window_seconds, now);
-  const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   std::vector<uint64_t> merged(options_.bounds.size() + 1, 0);
   uint64_t count = 0;
   double lo_seen = 0.0;
   double hi_seen = 0.0;
-  for (const Bucket& bucket : ring_) {
-    if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+  ForEachBucket(window_seconds, now, [&](const Bucket& bucket) {
     for (size_t b = 0; b < merged.size(); ++b) merged[b] += bucket.bound_counts[b];
-    if (count == 0) {
-      lo_seen = bucket.min;
-      hi_seen = bucket.max;
-    } else {
-      lo_seen = std::min(lo_seen, bucket.min);
-      hi_seen = std::max(hi_seen, bucket.max);
-    }
+    lo_seen = count == 0 ? bucket.min : std::min(lo_seen, bucket.min);
+    hi_seen = count == 0 ? bucket.max : std::max(hi_seen, bucket.max);
     count += bucket.count;
-  }
+  });
   if (count == 0) return 0.0;
   if (count == 1) return hi_seen;
-  // Same bucket interpolation as Histogram::BucketQuantileLocked: find the
-  // bucket covering rank q*count and interpolate linearly inside it, with
-  // the observed min/max clamping the open-ended edges.
+  // Find the bucket covering rank q*count and interpolate linearly inside
+  // it, with the observed min/max clamping the open-ended edges.
   const double clamped_q = std::min(std::max(q, 0.0), 1.0);
   const double rank = clamped_q * static_cast<double>(count);
   uint64_t cumulative = 0;
@@ -187,54 +174,22 @@ const char* AlertStateName(AlertState state) {
 }
 
 std::vector<AlertRule> DefaultSloRules() {
-  std::vector<AlertRule> rules;
-  {
-    // 99.9% non-5xx, paging at 14.4x burn (the classic "2% of a 30d budget
-    // in one hour" multiplier) over 60s/600s windows.
-    AlertRule rule;
-    rule.name = "availability";
-    rule.signal = AlertRule::Signal::kAvailability;
-    rule.severity = AlertRule::Severity::kPage;
-    rule.objective = 0.999;
-    rule.burn_rate = 14.4;
-    rule.min_count = 10;
-    rule.for_seconds = 5.0;
-    rules.push_back(rule);
-  }
-  {
-    AlertRule rule;
-    rule.name = "latency_p99";
-    rule.signal = AlertRule::Signal::kLatency;
-    rule.severity = AlertRule::Severity::kTicket;
-    rule.quantile = 0.99;
-    rule.threshold = 2.5;
-    rule.min_count = 10;
-    rule.for_seconds = 5.0;
-    rules.push_back(rule);
-  }
-  {
-    AlertRule rule;
-    rule.name = "queue_pressure";
-    rule.signal = AlertRule::Signal::kQueue;
-    rule.severity = AlertRule::Severity::kTicket;
-    rule.threshold = 0.9;
-    rule.min_count = 5;
-    rule.for_seconds = 5.0;
-    rules.push_back(rule);
-  }
-  {
-    // Pages while the tenant still has budget left: projected exhaustion
-    // within 600s at the observed spend rate, in both windows.
-    AlertRule rule;
-    rule.name = "ledger_burn";
-    rule.signal = AlertRule::Signal::kLedgerBurn;
-    rule.severity = AlertRule::Severity::kPage;
-    rule.horizon_seconds = 600.0;
-    rule.min_count = 1;
-    rule.for_seconds = 0.0;
-    rules.push_back(rule);
-  }
-  return rules;
+  using Signal = AlertRule::Signal;
+  using Severity = AlertRule::Severity;
+  // Unlisted fields keep AlertRule's defaults: 60 s / 600 s windows, a
+  // 99.9% objective paging at 14.4x burn (the classic "2% of a 30d budget
+  // in one hour" multiplier), p99, and a 600 s ledger horizon.
+  return {
+      {.name = "availability", .signal = Signal::kAvailability, .severity = Severity::kPage,
+       .for_seconds = 5.0, .min_count = 10},
+      {.name = "latency_p99", .signal = Signal::kLatency, .for_seconds = 5.0, .min_count = 10,
+       .threshold = 2.5},
+      {.name = "queue_pressure", .signal = Signal::kQueue, .for_seconds = 5.0, .min_count = 5,
+       .threshold = 0.9},
+      // Pages while the tenant still has budget left: projected exhaustion
+      // within the horizon at the observed spend rate, in both windows.
+      {.name = "ledger_burn", .signal = Signal::kLedgerBurn, .severity = Severity::kPage},
+  };
 }
 
 namespace {
@@ -243,32 +198,26 @@ Result<AlertRule> ParseRule(const JsonValue& doc) {
   if (!doc.is_object()) return Status::InvalidArgument("slo rule must be an object");
   AlertRule rule;
   rule.name = doc.GetStringOr("name", "");
-  if (!ValidRuleName(rule.name)) {
-    return Status::InvalidArgument("slo rule name must match [A-Za-z0-9_.-]{1,64}: '" + rule.name +
-                                   "'");
-  }
   const std::string signal = doc.GetStringOr("signal", "");
-  if (signal == "availability") {
-    rule.signal = AlertRule::Signal::kAvailability;
-  } else if (signal == "latency") {
-    rule.signal = AlertRule::Signal::kLatency;
-  } else if (signal == "queue") {
-    rule.signal = AlertRule::Signal::kQueue;
-  } else if (signal == "ledger_burn") {
-    rule.signal = AlertRule::Signal::kLedgerBurn;
-  } else {
+  bool known = false;
+  for (AlertRule::Signal candidate :
+       {AlertRule::Signal::kAvailability, AlertRule::Signal::kLatency, AlertRule::Signal::kQueue,
+        AlertRule::Signal::kLedgerBurn}) {
+    if (signal == SignalName(candidate)) {
+      rule.signal = candidate;
+      known = true;
+    }
+  }
+  if (!known) {
     return Status::InvalidArgument("slo rule '" + rule.name + "': unknown signal '" + signal +
                                    "'");
   }
   const std::string severity = doc.GetStringOr("severity", "ticket");
-  if (severity == "ticket") {
-    rule.severity = AlertRule::Severity::kTicket;
-  } else if (severity == "page") {
-    rule.severity = AlertRule::Severity::kPage;
-  } else {
+  if (severity != "ticket" && severity != "page") {
     return Status::InvalidArgument("slo rule '" + rule.name + "': unknown severity '" + severity +
                                    "'");
   }
+  rule.severity = severity == "page" ? AlertRule::Severity::kPage : AlertRule::Severity::kTicket;
   rule.fast_window_seconds = doc.GetNumberOr("fast_window_s", rule.fast_window_seconds);
   rule.slow_window_seconds = doc.GetNumberOr("slow_window_s", rule.slow_window_seconds);
   rule.for_seconds = doc.GetNumberOr("for_s", rule.for_seconds);
@@ -281,45 +230,59 @@ Result<AlertRule> ParseRule(const JsonValue& doc) {
   rule.threshold = doc.GetNumberOr("threshold", rule.threshold);
   if (doc.Has("threshold_ms")) rule.threshold = doc.GetNumberOr("threshold_ms", 0.0) / 1000.0;
   rule.horizon_seconds = doc.GetNumberOr("horizon_s", rule.horizon_seconds);
-
-  if (!(rule.fast_window_seconds > 0) || !(rule.slow_window_seconds > 0)) {
-    return Status::InvalidArgument("slo rule '" + rule.name + "': windows must be positive");
-  }
-  if (rule.fast_window_seconds > rule.slow_window_seconds) {
-    return Status::InvalidArgument("slo rule '" + rule.name +
-                                   "': fast window must not exceed slow window");
-  }
-  if (rule.slow_window_seconds > 3600.0) {
-    return Status::InvalidArgument("slo rule '" + rule.name +
-                                   "': slow window must be <= 3600s (the ring span)");
-  }
-  if (rule.for_seconds < 0 || rule.resolve_seconds < 0) {
-    return Status::InvalidArgument("slo rule '" + rule.name + "': holds must be non-negative");
-  }
-  if (rule.signal == AlertRule::Signal::kAvailability) {
-    if (!(rule.objective > 0.0) || !(rule.objective < 1.0)) {
-      return Status::InvalidArgument("slo rule '" + rule.name +
-                                     "': objective must be in (0, 1)");
-    }
-    if (!(rule.burn_rate > 0.0)) {
-      return Status::InvalidArgument("slo rule '" + rule.name + "': burn_rate must be positive");
-    }
-  }
-  if (rule.signal == AlertRule::Signal::kLatency) {
-    if (!(rule.quantile > 0.0) || !(rule.quantile <= 1.0)) {
-      return Status::InvalidArgument("slo rule '" + rule.name + "': quantile must be in (0, 1]");
-    }
-    if (!(rule.threshold > 0.0)) {
-      return Status::InvalidArgument("slo rule '" + rule.name + "': threshold must be positive");
-    }
-  }
-  if (rule.signal == AlertRule::Signal::kQueue && !(rule.threshold > 0.0)) {
-    return Status::InvalidArgument("slo rule '" + rule.name + "': threshold must be positive");
-  }
-  if (rule.signal == AlertRule::Signal::kLedgerBurn && !(rule.horizon_seconds > 0.0)) {
-    return Status::InvalidArgument("slo rule '" + rule.name + "': horizon_s must be positive");
-  }
   return rule;
+}
+
+/// The one rule check, for parsed configs and programmatic rules alike:
+/// name grammar, each rule's windows, holds and signal parameters, and
+/// unique names.
+Status ValidateRules(const std::vector<AlertRule>& rules) {
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const AlertRule& rule = rules[i];
+    if (!IsEntityName(rule.name)) {
+      return Status::InvalidArgument("slo rule name must match [A-Za-z0-9_.-]{1,64}: '" +
+                                     rule.name + "'");
+    }
+    auto invalid = [&rule](const std::string& what) {
+      return Status::InvalidArgument("slo rule '" + rule.name + "': " + what);
+    };
+    if (!(rule.fast_window_seconds > 0) || !(rule.slow_window_seconds > 0)) {
+      return invalid("windows must be positive");
+    }
+    if (rule.fast_window_seconds > rule.slow_window_seconds) {
+      return invalid("fast window must not exceed slow window");
+    }
+    if (rule.slow_window_seconds > 3600.0) return invalid("slow window must be <= 3600s");
+    if (rule.for_seconds < 0 || rule.resolve_seconds < 0) {
+      return invalid("holds must be non-negative");
+    }
+    switch (rule.signal) {
+      case AlertRule::Signal::kAvailability:
+        if (!(rule.objective > 0.0) || !(rule.objective < 1.0)) {
+          return invalid("objective must be in (0, 1)");
+        }
+        if (!(rule.burn_rate > 0.0)) return invalid("burn_rate must be positive");
+        break;
+      case AlertRule::Signal::kLatency:
+        if (!(rule.quantile > 0.0) || !(rule.quantile <= 1.0)) {
+          return invalid("quantile must be in (0, 1]");
+        }
+        if (!(rule.threshold > 0.0)) return invalid("threshold must be positive");
+        break;
+      case AlertRule::Signal::kQueue:
+        if (!(rule.threshold > 0.0)) return invalid("threshold must be positive");
+        break;
+      case AlertRule::Signal::kLedgerBurn:
+        if (!(rule.horizon_seconds > 0.0)) return invalid("horizon_s must be positive");
+        break;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (rules[j].name == rule.name) {
+        return Status::InvalidArgument("slo config has duplicate rule name '" + rule.name + "'");
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -337,13 +300,9 @@ Result<std::vector<AlertRule>> ParseSloConfig(const JsonValue& doc) {
   std::vector<AlertRule> rules;
   for (size_t i = 0; i < rules_json->size(); ++i) {
     PPDP_ASSIGN_OR_RETURN(AlertRule rule, ParseRule(rules_json->at(i)));
-    for (const AlertRule& existing : rules) {
-      if (existing.name == rule.name) {
-        return Status::InvalidArgument("slo config has duplicate rule name '" + rule.name + "'");
-      }
-    }
     rules.push_back(std::move(rule));
   }
+  PPDP_RETURN_IF_ERROR(ValidateRules(rules));
   if (rules.empty()) return Status::InvalidArgument("slo config has no rules");
   return rules;
 }
@@ -372,47 +331,29 @@ JsonValue AlertTransition::ToJson() const {
 SloEngine::SloEngine(Options options)
     : options_(std::move(options)),
       clock_(options_.clock ? options_.clock : SloClock(&MonotonicSeconds)),
-      requests_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
-      server_errors_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
-      latency_(SlidingWindow::Options{options_.bucket_seconds, 3660, RequestLatencyBounds()}),
-      queue_depth_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}) {}
+      ring_buckets_(RingBuckets(options_.rules)),
+      server_errors_(SlidingWindow::Options{ring_buckets_, {}}),
+      latency_(SlidingWindow::Options{ring_buckets_, RequestLatencyBounds()}),
+      queue_depth_(SlidingWindow::Options{ring_buckets_, {}}) {}
 
 Result<std::unique_ptr<SloEngine>> SloEngine::Create(Options options) {
-  if (!(options.bucket_seconds > 0)) {
-    return Status::InvalidArgument("slo bucket_seconds must be positive");
-  }
   if (options.eval_period_seconds < 0) {
     return Status::InvalidArgument("slo eval_period_seconds must be non-negative");
   }
   if (options.rules.empty()) options.rules = DefaultSloRules();
-  for (size_t i = 0; i < options.rules.size(); ++i) {
-    const AlertRule& rule = options.rules[i];
-    if (!ValidRuleName(rule.name)) {
-      return Status::InvalidArgument("slo rule name must match [A-Za-z0-9_.-]{1,64}: '" +
-                                     rule.name + "'");
-    }
-    for (size_t j = 0; j < i; ++j) {
-      if (options.rules[j].name == rule.name) {
-        return Status::InvalidArgument("duplicate slo rule name '" + rule.name + "'");
-      }
-    }
-  }
+  PPDP_RETURN_IF_ERROR(ValidateRules(options.rules));
   const std::string alert_log = options.alert_log;
-  const double max_mb = options.alert_log_max_mb;
   std::unique_ptr<SloEngine> engine(new SloEngine(std::move(options)));
   if (!alert_log.empty()) {
-    if (!(max_mb > 0)) return Status::InvalidArgument("alert_log_max_mb must be positive");
-    PPDP_RETURN_IF_ERROR(
-        engine->alert_log_.Open(alert_log, static_cast<uint64_t>(max_mb * 1024.0 * 1024.0)));
+    PPDP_RETURN_IF_ERROR(engine->alert_log_.Open(alert_log, kAlertLogMaxBytes));
   }
   return engine;
 }
 
 void SloEngine::RecordRequest(int status, double latency_seconds) {
   const double now = clock_();
-  requests_.Add(1.0, now);
-  if (status >= 500) server_errors_.Add(1.0, now);
   latency_.Add(latency_seconds, now);
+  if (status >= 500) server_errors_.Add(1.0, now);
 }
 
 void SloEngine::RecordQueueDepth(double depth_ratio) {
@@ -420,96 +361,103 @@ void SloEngine::RecordQueueDepth(double depth_ratio) {
 }
 
 void SloEngine::RecordSpend(const std::string& tenant, double epsilon, double remaining_epsilon,
-                            double budget_epsilon) {
+                            double /*budget_epsilon*/) {
   const double now = clock_();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
     if (tenants_.size() >= options_.max_tenants) return;
     TenantBurn burn;
-    burn.spend = std::make_unique<SlidingWindow>(
-        SlidingWindow::Options{options_.bucket_seconds, 3660, {}});
+    burn.spend = std::make_unique<SlidingWindow>(SlidingWindow::Options{ring_buckets_, {}});
     it = tenants_.emplace(tenant, std::move(burn)).first;
   }
   it->second.spend->Add(epsilon, now);
   it->second.remaining = remaining_epsilon;
-  it->second.budget = budget_epsilon;
 }
 
-SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std::string& tenant,
+SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const TenantBurn* tenant,
                                                double window_seconds, double now) const {
   SignalReading reading;
   reading.inputs = JsonValue::Object();
+  const char* value_name = "";
   switch (rule.signal) {
     case AlertRule::Signal::kAvailability: {
-      const SlidingWindow::WindowStats all = requests_.StatsOver(window_seconds, now);
-      const SlidingWindow::WindowStats bad = server_errors_.StatsOver(window_seconds, now);
-      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
-      reading.inputs.Set("errors_5xx", JsonValue::Number(static_cast<double>(bad.count)));
-      if (all.count < rule.min_count) return reading;
-      const double error_ratio = static_cast<double>(bad.count) / static_cast<double>(all.count);
-      const double budget = 1.0 - rule.objective;  // objective < 1 enforced at parse
-      reading.evaluable = true;
-      reading.burn = error_ratio / budget;
-      reading.breach = reading.burn >= rule.burn_rate;
-      reading.inputs.Set("error_ratio", JsonValue::Number(error_ratio));
-      return reading;
+      const uint64_t errors = server_errors_.StatsOver(window_seconds, now).count;
+      reading.events = latency_.StatsOver(window_seconds, now).count;
+      if (reading.events > 0) {
+        reading.value = static_cast<double>(errors) / static_cast<double>(reading.events);
+      }
+      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(reading.events)));
+      reading.inputs.Set("errors_5xx", JsonValue::Number(static_cast<double>(errors)));
+      value_name = "error_ratio";
+      break;
     }
-    case AlertRule::Signal::kLatency: {
-      const SlidingWindow::WindowStats all = latency_.StatsOver(window_seconds, now);
-      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
-      if (all.count < rule.min_count) return reading;
-      const double quantile = latency_.QuantileOver(window_seconds, rule.quantile, now);
-      reading.evaluable = true;
-      reading.burn = rule.threshold > 0 ? quantile / rule.threshold : 0.0;
-      reading.breach = quantile > rule.threshold;
-      reading.inputs.Set("quantile_seconds", JsonValue::Number(quantile));
-      return reading;
-    }
+    case AlertRule::Signal::kLatency:
+      reading.events = latency_.StatsOver(window_seconds, now).count;
+      reading.value = latency_.QuantileOver(window_seconds, rule.quantile, now);
+      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(reading.events)));
+      value_name = "quantile_seconds";
+      break;
     case AlertRule::Signal::kQueue: {
-      const SlidingWindow::WindowStats all = queue_depth_.StatsOver(window_seconds, now);
-      reading.inputs.Set("samples", JsonValue::Number(static_cast<double>(all.count)));
-      if (all.count < rule.min_count) return reading;
-      reading.evaluable = true;
-      reading.burn = rule.threshold > 0 ? all.mean / rule.threshold : 0.0;
-      reading.breach = all.mean > rule.threshold;
-      reading.inputs.Set("mean_depth_ratio", JsonValue::Number(all.mean));
-      return reading;
+      const SlidingWindow::WindowStats depth = queue_depth_.StatsOver(window_seconds, now);
+      reading.events = depth.count;
+      reading.value = depth.mean;
+      reading.inputs.Set("samples", JsonValue::Number(static_cast<double>(reading.events)));
+      value_name = "mean_depth_ratio";
+      break;
     }
     case AlertRule::Signal::kLedgerBurn: {
-      // Caller holds mutex_ (Evaluate): tenants_ access is safe, and the
-      // tenant's own window takes only its internal lock.
-      auto it = tenants_.find(tenant);
-      if (it == tenants_.end()) return reading;
-      const TenantBurn& burn = it->second;
-      const SlidingWindow::WindowStats spend = burn.spend->StatsOver(window_seconds, now);
-      reading.inputs.Set("spends", JsonValue::Number(static_cast<double>(spend.count)));
-      reading.inputs.Set("remaining_epsilon", JsonValue::Number(burn.remaining));
-      if (spend.count < rule.min_count) return reading;
+      const SlidingWindow::WindowStats spend = tenant->spend->StatsOver(window_seconds, now);
       const double rate = spend.sum / window_seconds;  // ε per second
-      reading.inputs.Set("spend_rate", JsonValue::Number(rate));
-      if (!(rate > 0)) return reading;
-      reading.evaluable = true;
-      const double tte = burn.remaining / rate;  // projected seconds to exhaustion
-      reading.burn = tte > 0 ? rule.horizon_seconds / tte : rule.horizon_seconds * 1e6;
-      reading.breach = tte <= rule.horizon_seconds;
-      reading.inputs.Set("time_to_exhaustion_s", JsonValue::Number(tte));
-      return reading;
+      reading.events = spend.count;
+      reading.valued = rate > 0;
+      if (reading.valued) reading.value = tenant->remaining / rate;
+      reading.inputs.Set("spends", JsonValue::Number(static_cast<double>(reading.events)));
+      reading.inputs.Set("remaining_epsilon", JsonValue::Number(tenant->remaining));
+      if (reading.events >= rule.min_count) {
+        reading.inputs.Set("spend_rate", JsonValue::Number(rate));
+      }
+      value_name = "time_to_exhaustion_s";
+      break;
     }
   }
+  if (reading.evaluable(rule)) reading.inputs.Set(value_name, JsonValue::Number(reading.value));
   return reading;
 }
 
-void SloEngine::Step(const AlertRule& rule, const std::string& tenant, Instance* instance,
-                     double now, std::vector<AlertTransition>* transitions) {
-  const SignalReading fast = ReadSignal(rule, tenant, rule.fast_window_seconds, now);
-  const SignalReading slow = ReadSignal(rule, tenant, rule.slow_window_seconds, now);
-  instance->burn_fast = fast.burn;
-  instance->burn_slow = slow.burn;
-  instance->inputs_fast = fast.inputs;
-  instance->inputs_slow = slow.inputs;
+void SloEngine::Step(const AlertRule& rule, const std::string& tenant, const TenantBurn* burn,
+                     Instance* instance, double now, std::vector<AlertTransition>* transitions) {
+  // {burn, breach}: burn is how far past its bound the windowed value is
+  // (1 = at the bound); a window that cannot be judged reads {0, false}.
+  // ValidateRules keeps every divisor positive.
+  auto judge = [&rule](const SignalReading& reading) -> std::pair<double, bool> {
+    if (!reading.evaluable(rule)) return {0.0, false};
+    const double value = reading.value;
+    switch (rule.signal) {
+      case AlertRule::Signal::kAvailability: {
+        const double burn = value / (1.0 - rule.objective);
+        return {burn, burn >= rule.burn_rate};
+      }
+      case AlertRule::Signal::kLatency:
+      case AlertRule::Signal::kQueue:
+        return {value / rule.threshold, value > rule.threshold};
+      case AlertRule::Signal::kLedgerBurn:
+        return {value > 0 ? rule.horizon_seconds / value : rule.horizon_seconds * 1e6,
+                value <= rule.horizon_seconds};
+    }
+    return {0.0, false};
+  };
+  SignalReading fast = ReadSignal(rule, burn, rule.fast_window_seconds, now);
+  SignalReading slow = ReadSignal(rule, burn, rule.slow_window_seconds, now);
+  bool fast_breach = false;
+  bool slow_breach = false;
+  std::tie(instance->burn_fast, fast_breach) = judge(fast);
+  std::tie(instance->burn_slow, slow_breach) = judge(slow);
   // The multi-window rule: only a breach in BOTH windows counts.
-  const bool breach = fast.evaluable && slow.evaluable && fast.breach && slow.breach;
+  const bool breach = fast_breach && slow_breach;
+  instance->severity = rule.severity;
+  instance->inputs_fast = std::move(fast.inputs);
+  instance->inputs_slow = std::move(slow.inputs);
 
   auto emit = [&](AlertState from, AlertState to) {
     instance->state = to;
@@ -521,8 +469,8 @@ void SloEngine::Step(const AlertRule& rule, const std::string& tenant, Instance*
     transition.from = from;
     transition.to = to;
     transition.severity = rule.severity;
-    transition.burn_fast = fast.burn;
-    transition.burn_slow = slow.burn;
+    transition.burn_fast = instance->burn_fast;
+    transition.burn_slow = instance->burn_slow;
     Export(transition);
     transitions->push_back(std::move(transition));
   };
@@ -611,12 +559,12 @@ std::vector<AlertTransition> SloEngine::Evaluate() {
   for (const AlertRule& rule : options_.rules) {
     if (rule.signal == AlertRule::Signal::kLedgerBurn) {
       for (const auto& [tenant, burn] : tenants_) {
-        Instance& instance = instances_[rule.name + "\n" + tenant];
-        Step(rule, tenant, &instance, now, &transitions);
+        Instance& instance = instances_[{rule.name, tenant}];
+        Step(rule, tenant, &burn, &instance, now, &transitions);
       }
     } else {
-      Instance& instance = instances_[rule.name];
-      Step(rule, "", &instance, now, &transitions);
+      Instance& instance = instances_[{rule.name, ""}];
+      Step(rule, "", nullptr, &instance, now, &transitions);
     }
   }
   return transitions;
@@ -633,32 +581,13 @@ void SloEngine::EvaluateIfDue() {
   Evaluate();
 }
 
-int SloEngine::WorstFiringSeverity() const {
+std::vector<FiringAlert> SloEngine::FiringAlerts() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  int worst = 0;
-  for (const AlertRule& rule : options_.rules) {
-    const int severity = rule.severity == AlertRule::Severity::kPage ? 2 : 1;
-    if (severity <= worst) continue;
-    for (const auto& [key, instance] : instances_) {
-      const std::string& name = key.substr(0, key.find('\n'));
-      if (name == rule.name && instance.state == AlertState::kFiring) {
-        worst = severity;
-        break;
-      }
-    }
-  }
-  return worst;
-}
-
-std::vector<std::string> SloEngine::FiringAlerts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> firing;
+  std::vector<FiringAlert> firing;
   for (const auto& [key, instance] : instances_) {
     if (instance.state != AlertState::kFiring) continue;
-    std::string name = key;
-    const size_t sep = name.find('\n');
-    if (sep != std::string::npos) name[sep] = '/';
-    firing.push_back(std::move(name));
+    const auto& [rule, tenant] = key;
+    firing.push_back({tenant.empty() ? rule : rule + "/" + tenant, instance.severity});
   }
   return firing;
 }
@@ -679,13 +608,9 @@ JsonValue SloEngine::AlertzDocument() const {
     rule_json.Set("slow_window_s", JsonValue::Number(rule.slow_window_seconds));
     JsonValue instances = JsonValue::Array();
     for (const auto& [key, instance] : instances_) {
-      const size_t sep = key.find('\n');
-      const std::string name = key.substr(0, sep == std::string::npos ? key.size() : sep);
-      if (name != rule.name) continue;
+      if (key.first != rule.name) continue;
       JsonValue instance_json = JsonValue::Object();
-      if (sep != std::string::npos) {
-        instance_json.Set("tenant", JsonValue::String(key.substr(sep + 1)));
-      }
+      if (!key.second.empty()) instance_json.Set("tenant", JsonValue::String(key.second));
       instance_json.Set("state", JsonValue::String(AlertStateName(instance.state)));
       instance_json.Set("since_s", JsonValue::Number(instance.since_seconds));
       instance_json.Set("burn_fast", JsonValue::Number(instance.burn_fast));
@@ -709,59 +634,39 @@ std::vector<SloAttainment> SloEngine::Attainment() const {
     SloAttainment row;
     row.rule = rule.name;
     row.signal = SignalName(rule.signal);
+    const double window = rule.slow_window_seconds;
     switch (rule.signal) {
       case AlertRule::Signal::kAvailability: {
-        const SlidingWindow::WindowStats all =
-            requests_.StatsOver(rule.slow_window_seconds, now);
-        const SlidingWindow::WindowStats bad =
-            server_errors_.StatsOver(rule.slow_window_seconds, now);
+        const SignalReading reading = ReadSignal(rule, nullptr, window, now);
         row.objective = rule.objective;
-        row.events = all.count;
-        row.attained = all.count == 0 ? 1.0
-                                      : 1.0 - static_cast<double>(bad.count) /
-                                                  static_cast<double>(all.count);
+        row.events = reading.events;
+        row.attained = 1.0 - reading.value;  // an empty window reads 1.0
         row.met = row.attained >= rule.objective;
         break;
       }
-      case AlertRule::Signal::kLatency: {
-        const SlidingWindow::WindowStats all = latency_.StatsOver(rule.slow_window_seconds, now);
-        row.objective = rule.threshold;
-        row.events = all.count;
-        row.attained = latency_.QuantileOver(rule.slow_window_seconds, rule.quantile, now);
-        row.met = row.attained <= rule.threshold;
-        break;
-      }
+      case AlertRule::Signal::kLatency:
       case AlertRule::Signal::kQueue: {
-        const SlidingWindow::WindowStats all =
-            queue_depth_.StatsOver(rule.slow_window_seconds, now);
+        const SignalReading reading = ReadSignal(rule, nullptr, window, now);
         row.objective = rule.threshold;
-        row.events = all.count;
-        row.attained = all.mean;
+        row.events = reading.events;
+        row.attained = reading.value;
         row.met = row.attained <= rule.threshold;
         break;
       }
       case AlertRule::Signal::kLedgerBurn: {
-        // Report the worst tenant: smallest projected time-to-exhaustion.
+        // The worst tenant: smallest projected time-to-exhaustion. No spend
+        // at all reads as the horizon itself (met exactly at the bound).
         row.objective = rule.horizon_seconds;
         double worst_tte = -1.0;
-        uint64_t events = 0;
-        std::string worst_tenant;
         for (const auto& [tenant, burn] : tenants_) {
-          const SlidingWindow::WindowStats spend =
-              burn.spend->StatsOver(rule.slow_window_seconds, now);
-          events += spend.count;
-          if (spend.count == 0 || !(spend.sum > 0)) continue;
-          const double rate = spend.sum / rule.slow_window_seconds;
-          const double tte = burn.remaining / rate;
-          if (worst_tte < 0 || tte < worst_tte) {
-            worst_tte = tte;
-            worst_tenant = tenant;
+          const SignalReading reading = ReadSignal(rule, &burn, window, now);
+          row.events += reading.events;
+          if (!reading.valued) continue;
+          if (worst_tte < 0 || reading.value < worst_tte) {
+            worst_tte = reading.value;
+            row.tenant = tenant;
           }
         }
-        row.events = events;
-        row.tenant = worst_tenant;
-        // No spend observed => nothing burning; report the horizon itself
-        // as "met exactly at the bound is fine".
         row.attained = worst_tte < 0 ? rule.horizon_seconds : worst_tte;
         row.met = row.attained >= rule.horizon_seconds;
         break;

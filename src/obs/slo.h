@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -28,21 +29,20 @@ namespace ppdp::obs {
 /// obs::MonotonicSeconds; tests substitute a scripted clock.
 using SloClock = std::function<double()>;
 
-/// Ring of time-aligned buckets over a scalar stream. Bucket b covers
-/// [b*bucket_seconds, (b+1)*bucket_seconds); a windowed query merges the
-/// last ceil(window/bucket) buckets, so answers lag true sliding-window
-/// semantics by at most one bucket — the standard multi-bucket
-/// approximation. With `bounds` set, each bucket additionally histograms
-/// its observations so windowed quantiles are available (bucket
-/// interpolation, same scheme as obs::Histogram beyond its exact cap).
-/// Thread-safe; stale buckets are lazily recycled on the next touch.
+/// Ring of one-second buckets over a scalar stream. Bucket b covers
+/// [b, b+1) seconds; a windowed query merges the last ceil(window)
+/// buckets, so answers lag true sliding-window semantics by at most one
+/// second — the standard multi-bucket approximation. With `bounds` set,
+/// each bucket additionally histograms its observations so windowed
+/// quantiles are available (bucket interpolation with observed min/max
+/// clamping). Thread-safe; stale buckets are lazily recycled on the next
+/// touch.
 class SlidingWindow {
  public:
   struct Options {
-    double bucket_seconds = 1.0;
-    /// Ring span = bucket_seconds * num_buckets; windows longer than the
-    /// span are clamped to it.
-    size_t num_buckets = 660;
+    /// Required (0 is rejected): the ring spans this many seconds, and
+    /// longer windows are clamped to it.
+    size_t num_buckets = 0;
     /// Strictly increasing histogram bounds; empty = counter-only window.
     std::vector<double> bounds;
   };
@@ -59,22 +59,13 @@ class SlidingWindow {
   };
   WindowStats StatsOver(double window_seconds, double now) const;
 
-  /// sum over the window / window seconds (events-per-second when Add is
-  /// called with value 1, ε-per-second when called with ε, ...).
-  double RateOver(double window_seconds, double now) const;
-
   /// Bucket-interpolated quantile over the window; 0 when the window is
   /// empty or the window was built without bounds.
   double QuantileOver(double window_seconds, double q, double now) const;
 
-  double bucket_seconds() const { return options_.bucket_seconds; }
-  double span_seconds() const {
-    return options_.bucket_seconds * static_cast<double>(options_.num_buckets);
-  }
-
  private:
   struct Bucket {
-    int64_t index = -1;  ///< absolute bucket index; -1 = never used
+    int64_t index = -1;  ///< absolute bucket index (whole seconds); -1 = never used
     uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
@@ -83,8 +74,10 @@ class SlidingWindow {
   };
 
   Bucket& BucketFor(double now);  // requires mutex_ held
-  /// First absolute bucket index inside [now - window, now].
-  int64_t FirstIndex(double window_seconds, double now) const;
+  /// Calls `visit` on every non-empty bucket inside [now - window, now].
+  /// Requires mutex_ held.
+  template <typename Visit>
+  void ForEachBucket(double window_seconds, double now, Visit visit) const;
 
   Options options_;
   mutable std::mutex mutex_;
@@ -109,7 +102,7 @@ struct AlertRule {
     kPage,    ///< firing fails /healthz
   };
 
-  std::string name;  ///< [A-Za-z0-9_.-], <= 64 chars; unique per config
+  std::string name;  ///< IsEntityName grammar; unique per config
   Signal signal = Signal::kAvailability;
   Severity severity = Severity::kTicket;
 
@@ -138,8 +131,8 @@ const char* SeverityName(AlertRule::Severity severity);
 std::vector<AlertRule> DefaultSloRules();
 
 /// Parses + validates a `ppdp.slo.v1` document. Rejects unknown signals /
-/// severities, non-positive or inverted windows, out-of-range objectives,
-/// duplicate or grammar-violating rule names.
+/// severities, non-positive, inverted or longer-than-an-hour windows,
+/// out-of-range objectives, duplicate or grammar-violating rule names.
 Result<std::vector<AlertRule>> ParseSloConfig(const JsonValue& doc);
 /// Loads + parses a config file.
 Result<std::vector<AlertRule>> LoadSloConfig(const std::string& path);
@@ -176,11 +169,19 @@ struct SloAttainment {
   uint64_t events = 0;  ///< observations in the slow window
 };
 
+/// One currently-firing alert instance.
+struct FiringAlert {
+  std::string name;  ///< "rule" or "rule/tenant"
+  AlertRule::Severity severity = AlertRule::Severity::kTicket;
+};
+
 /// The SLO engine: sliding windows fed from the request path, evaluated
-/// into per-rule alert state machines. Exports every transition three ways
-/// (alert-state gauges + transition counter in the MetricsRegistry, a
-/// FlightRecorder event, and an optional rotating `ppdp.alertlog.v1` JSONL
-/// log), and serves the /alertz, /sloz and tri-state /healthz documents.
+/// into per-rule alert state machines. Every window has 1 s buckets and
+/// spans the rules' longest slow window plus one bucket. Exports every
+/// transition three ways (alert-state gauges + transition counter in the
+/// MetricsRegistry, a FlightRecorder event, and an optional rotating
+/// `ppdp.alertlog.v1` JSONL log), serves the /alertz and /sloz documents,
+/// and lists the firing alerts the tri-state /healthz reads.
 ///
 /// Ingestion (RecordRequest/RecordQueueDepth/RecordSpend) takes only the
 /// touched window's lock. Evaluation is explicit: call Evaluate() (or the
@@ -191,16 +192,14 @@ class SloEngine {
   struct Options {
     std::vector<AlertRule> rules;  ///< empty = DefaultSloRules()
     SloClock clock;                ///< null = obs::MonotonicSeconds
-    double bucket_seconds = 1.0;
     /// EvaluateIfDue throttle; 0 evaluates on every call.
     double eval_period_seconds = 1.0;
     /// Cap on distinct tenants tracked for ledger-burn rules (names beyond
     /// it are ignored — the serve layer's TenantRegistry bounds real
     /// tenants anyway).
     size_t max_tenants = 64;
-    /// JSONL alert log path (empty = off) + rotation threshold.
+    /// JSONL alert log path (empty = off); rotates at 16 MB.
     std::string alert_log;
-    double alert_log_max_mb = 16.0;
     /// Mint slo.* gauges/counters in the global MetricsRegistry on every
     /// transition. Tests that golden-check /metrics turn this off.
     bool export_metrics = true;
@@ -225,11 +224,8 @@ class SloEngine {
   /// Evaluate() at most once per eval_period_seconds; cheap no-op between.
   void EvaluateIfDue();
 
-  /// Worst severity among currently-firing alerts: 0 = none, 1 = ticket
-  /// (degraded), 2 = page (failing). Uses the states of the last Evaluate.
-  int WorstFiringSeverity() const;
-  /// Names of currently-firing alert instances ("rule" or "rule/tenant").
-  std::vector<std::string> FiringAlerts() const;
+  /// Currently-firing alert instances, as of the last Evaluate.
+  std::vector<FiringAlert> FiringAlerts() const;
 
   /// `ppdp.alertz.v1`: every rule instance's state, burn rates, and the
   /// windowed inputs the verdict was computed from.
@@ -249,19 +245,32 @@ class SloEngine {
  private:
   explicit SloEngine(Options options);
 
-  /// Per-(rule, tenant) windowed verdict.
-  struct SignalReading {
-    bool evaluable = false;  ///< enough data to judge
-    bool breach = false;
-    double burn = 0.0;      ///< signal-specific burn/severity measure
-    JsonValue inputs;       ///< windowed numbers for /alertz
+  struct TenantBurn {
+    std::unique_ptr<SlidingWindow> spend;  ///< ε per bucket
+    double remaining = 0.0;
   };
-  SignalReading ReadSignal(const AlertRule& rule, const std::string& tenant,
+
+  /// One rule's signal over one window — the only place each signal's math
+  /// lives. `value` is in the rule's native unit: the 5xx ratio (0 when
+  /// empty), the latency quantile in seconds, the mean queue depth ratio,
+  /// or the tenant's projected seconds to ε exhaustion.
+  struct SignalReading {
+    uint64_t events = 0;  ///< observations in the window
+    bool valued = true;   ///< false: no ε spend in the window (ledger burn)
+    double value = 0.0;
+    JsonValue inputs;     ///< the windowed numbers /alertz shows
+    /// Enough events (min_count) and a value: the rule can judge it.
+    bool evaluable(const AlertRule& rule) const { return valued && events >= rule.min_count; }
+  };
+  /// `tenant` is the ledger-burn tenant's window, null for the other signals.
+  /// Requires mutex_ held (the tenant's balance).
+  SignalReading ReadSignal(const AlertRule& rule, const TenantBurn* tenant,
                            double window_seconds, double now) const;
 
   /// One alert instance's state machine.
   struct Instance {
     AlertState state = AlertState::kInactive;
+    AlertRule::Severity severity = AlertRule::Severity::kTicket;  ///< the rule's
     double since_seconds = 0.0;    ///< entered current state
     double pending_since = 0.0;    ///< breach start (state == pending)
     double clear_since = -1.0;     ///< breach clear start (state == firing)
@@ -272,31 +281,25 @@ class SloEngine {
   };
 
   /// Advances one instance; appends transitions. Requires mutex_ held.
-  void Step(const AlertRule& rule, const std::string& tenant, Instance* instance, double now,
-            std::vector<AlertTransition>* transitions);
+  void Step(const AlertRule& rule, const std::string& tenant, const TenantBurn* burn,
+            Instance* instance, double now, std::vector<AlertTransition>* transitions);
   /// Exports one transition (metrics, flight ring, alert log). Requires
   /// mutex_ held (the log/flight sinks take only their own locks).
   void Export(const AlertTransition& transition);
 
-  struct TenantBurn {
-    std::unique_ptr<SlidingWindow> spend;  ///< ε per bucket
-    double remaining = 0.0;
-    double budget = 0.0;
-  };
-
   Options options_;
   SloClock clock_;
+  size_t ring_buckets_;  ///< every window's length, sized from the rules
 
   // Ingestion windows (each is internally locked).
-  SlidingWindow requests_;       ///< all finished requests, value = 1
   SlidingWindow server_errors_;  ///< 5xx requests, value = 1
-  SlidingWindow latency_;        ///< request seconds (with bounds)
+  SlidingWindow latency_;        ///< request seconds (with bounds); one Add per request
   SlidingWindow queue_depth_;    ///< admission depth ratio samples
 
   mutable std::mutex mutex_;  ///< instances + tenants + eval bookkeeping
   std::map<std::string, TenantBurn> tenants_;
-  /// Keyed "rule" for global rules, "rule\ntenant" for ledger instances.
-  std::map<std::string, Instance> instances_;
+  /// Keyed (rule, tenant); the tenant is empty for global rules.
+  std::map<std::pair<std::string, std::string>, Instance> instances_;
   double last_eval_seconds_ = -1.0;
   uint64_t transitions_total_ = 0;
   RotatingJsonlLog alert_log_;

@@ -139,14 +139,54 @@ void ClearStatuszSections() {
   sections.providers.clear();
 }
 
-bool TelemetryDegraded() {
+std::vector<HealthCondition> ProcessHealthConditions() {
+  std::vector<HealthCondition> conditions;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  if (registry.counter("channel.gave_up").value() > 0) return true;
-  if (registry.counter("iot.server.degraded_estimates").value() > 0) return true;
-  for (const auto& [name, snapshot] : PrivacyLedger::SnapshotAll()) {
-    if (snapshot.rejected > 0) return true;
+  if (const uint64_t gave_up = registry.counter("channel.gave_up").value(); gave_up > 0) {
+    conditions.push_back({"channel.gave_up", 1, std::to_string(gave_up) + " channel give-ups"});
   }
-  return false;
+  if (const uint64_t degraded = registry.counter("iot.server.degraded_estimates").value();
+      degraded > 0) {
+    conditions.push_back(
+        {"iot.degraded_estimates", 1, std::to_string(degraded) + " degraded estimates"});
+  }
+  for (const auto& [name, snapshot] : PrivacyLedger::SnapshotAll()) {
+    if (snapshot.rejected > 0) {
+      conditions.push_back({"ledger." + name + ".rejections", 1,
+                            std::to_string(snapshot.rejected) + " spend rejections"});
+    }
+  }
+  return conditions;
+}
+
+bool TelemetryDegraded() { return !ProcessHealthConditions().empty(); }
+
+void WriteHealthz(const std::vector<HealthCondition>& conditions, const HttpRequest& request,
+                  HttpResponse* response) {
+  auto word = [](int severity) {
+    return severity >= 2 ? "failing" : severity == 1 ? "degraded" : "ok";
+  };
+  int worst = 0;
+  for (const HealthCondition& condition : conditions) worst = std::max(worst, condition.severity);
+  if (request.QueryIntOr("verbose", 0) == 0) {
+    // The plain body existing scrapers grep: one word, trailing newline.
+    response->Text(200, std::string(word(worst)) + "\n");
+    return;
+  }
+  JsonValue doc = JsonValue::Object();
+  doc.Set("schema", JsonValue::String("ppdp.healthz.v1"));
+  doc.Set("health", JsonValue::String(word(worst)));
+  JsonValue list = JsonValue::Array();
+  for (const HealthCondition& condition : conditions) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("name", JsonValue::String(condition.name));
+    entry.Set("severity", JsonValue::String(condition.severity == 0 ? "info"
+                                                                     : word(condition.severity)));
+    entry.Set("detail", JsonValue::String(condition.detail));
+    list.Append(std::move(entry));
+  }
+  doc.Set("conditions", std::move(list));
+  response->Json(200, doc);
 }
 
 TelemetryServer::TelemetryServer(Options options) : options_(std::move(options)) {
@@ -174,8 +214,8 @@ void TelemetryServer::RegisterBuiltinRoutes() {
     response->SetContentType("text/plain; version=0.0.4; charset=utf-8");
     response->SetBody(MetricsRegistry::Global().ToPrometheus());
   });
-  RegisterHandler("GET", "/healthz", [](const HttpRequest&, HttpResponse* response) {
-    response->Text(200, TelemetryDegraded() ? "degraded\n" : "ok\n");
+  RegisterHandler("GET", "/healthz", [](const HttpRequest& request, HttpResponse* response) {
+    WriteHealthz(ProcessHealthConditions(), request, response);
   });
   RegisterHandler("GET", "/statusz", [this](const HttpRequest&, HttpResponse* response) {
     response->RawJson(200, StatuszDocument().Dump() + "\n");
@@ -304,12 +344,15 @@ void TelemetryServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Kick every in-flight connection out of its blocking read/write, then
-  // wait for the handlers to finish — no thread outlives Stop.
+  // Wake every connection blocked reading its request, then wait for the
+  // handlers to finish — no thread outlives Stop. Only the read side shuts:
+  // a handler that already answered (a request the serve drain let finish)
+  // still writes its response; a client that stopped draining is cut off
+  // by the write deadline.
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     for (auto& connection : connections_) {
-      if (connection->fd >= 0) ::shutdown(connection->fd, SHUT_RDWR);
+      if (connection->fd >= 0) ::shutdown(connection->fd, SHUT_RD);
     }
   }
   ReapConnections(/*all=*/true);

@@ -27,22 +27,41 @@ void RegisterStatuszSection(const std::string& key, std::function<JsonValue()> p
 /// Removes every registered section (tests).
 void ClearStatuszSections();
 
-/// Process-health verdict backing /healthz: degraded when the chaos /
-/// budget machinery has already recorded user-visible damage — readings
-/// the ResilientChannel gave up on, loss-degraded aggregation estimates,
-/// or privacy-ledger spend rejections.
+/// One named reason the process is not fully healthy: a line of the
+/// verbose /healthz body.
+struct HealthCondition {
+  std::string name;  ///< "channel.gave_up", "ledger.<ledger>.rejections", ...
+  int severity = 0;  ///< 0 = info only, 1 = degrades, 2 = fails
+  std::string detail;
+};
+
+/// The process-wide conditions, each degrading: readings the
+/// ResilientChannel gave up on, loss-degraded aggregation estimates, and
+/// privacy-ledger spend rejections. Layers above add their own conditions
+/// around these (the serve daemon: firing alerts, queue pressure, ...).
+std::vector<HealthCondition> ProcessHealthConditions();
+
+/// True when a process-wide condition degrades health (/statusz).
 bool TelemetryDegraded();
+
+/// Answers /healthz from `conditions`: the worst severity as one word
+/// ("ok", "degraded" or "failing") and a newline, or with ?verbose=1 a
+/// `ppdp.healthz.v1` document naming every condition.
+void WriteHealthz(const std::vector<HealthCondition>& conditions, const HttpRequest& request,
+                  HttpResponse* response);
 
 /// A small, dependency-free routed HTTP/1.1 server: blocking sockets, one
 /// thread per connection (bounded; excess connections are answered 503
 /// immediately), loopback only, clean shutdown that unblocks in-flight
-/// reads. Endpoints are a routing table — RegisterHandler binds a (method,
-/// path prefix) to an HttpHandler, and the introspection endpoints below
-/// are pre-registered through the same table, so a layer above (the serve
-/// daemon) can add POST APIs or override /healthz without subclassing:
+/// reads but lets answers already being written complete. Endpoints are a
+/// routing table — RegisterHandler binds a (method, path prefix) to an
+/// HttpHandler, and the introspection endpoints below are pre-registered
+/// through the same table, so a layer above (the serve daemon) can add
+/// POST APIs or override /healthz without subclassing:
 ///
 ///   /metrics   Prometheus text exposition 0.0.4 of the MetricsRegistry
-///   /healthz   "ok" / "degraded" liveness probe (TelemetryDegraded)
+///   /healthz   "ok" / "degraded" liveness probe (ProcessHealthConditions;
+///              ?verbose=1 names them)
 ///   /statusz   JSON: build metadata, verbatim flags, seed/threads, live
 ///              per-entity PrivacyLedger snapshots, registered sections
 ///              (thread pool ...), active TraceSpan stack per thread,
@@ -115,8 +134,9 @@ class TelemetryServer {
   /// bound. Calling Start twice is an error.
   Status Start();
 
-  /// Clean shutdown: stops accepting, unblocks every in-flight connection
-  /// (their sockets are shut down), joins all threads. Idempotent.
+  /// Clean shutdown: stops accepting, shuts the read side of every
+  /// in-flight connection (a blocked read wakes; an answer being written
+  /// still completes), joins all threads. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }

@@ -59,21 +59,6 @@ std::string HexWord(uint64_t word) {
   return std::string(buffer);
 }
 
-/// Per-tenant metric names are only minted for strings that already satisfy
-/// the TenantRegistry grammar — the registry bounds how many such tenants
-/// can exist (max_tenants), which bounds the metric cardinality. Anything
-/// else (pre-validation garbage from a rejected request) must not create a
-/// metric family.
-bool SafeTenantForMetrics(const std::string& tenant) {
-  if (tenant.empty() || tenant.size() > 64) return false;
-  for (char c : tenant) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 obs::Histogram& RequestHistogram() {
   static obs::Histogram& histogram = obs::MetricsRegistry::Global().histogram(
       "serve.request.seconds",
@@ -370,7 +355,10 @@ void RequestObserver::Complete(RequestContext* context) {
     obs::FlightRecorder::Global().Record(std::move(event));
   }
 
-  if (SafeTenantForMetrics(record.tenant)) {
+  // Per-tenant metric names are only minted for names in the tenant
+  // grammar: the registry caps how many such tenants exist, which caps the
+  // metric cardinality. Garbage from a rejected request mints nothing.
+  if (obs::IsEntityName(record.tenant)) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     const std::string prefix = "serve.tenant." + record.tenant;
     registry.counter(prefix + ".requests").Increment();

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "dp/aggregation.h"
 #include "fault/fault.h"
@@ -90,18 +91,6 @@ std::string CanonicalConfigKey(core::PublisherKind kind, const core::PublishConf
   doc.Set("target_traits", std::move(traits));
   return doc.Dump();
 }
-
-/// FNV-1a 64 over raw bytes — the corpus digests in the startup summary use
-/// the same scheme as the WAL records and run-report file digests.
-uint64_t DigestBytes(uint64_t h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 
 /// The client's optional "deadline_ms" as an absolute MonotonicSeconds
 /// timestamp, capped by the server-side maximum. 0 = no deadline declared.
@@ -202,12 +191,12 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
   genomics::GwasCatalog catalog = genomics::GenerateSyntheticCatalog(catalog_config, genome_rng);
   // Digest the association table before the catalog is moved into the
   // publisher: it pins the genome corpus for the startup summary.
-  uint64_t genome_digest = kFnvBasis;
+  uint64_t genome_digest = kFnv1a64Basis;
   for (const genomics::SnpTraitAssociation& assoc : catalog.associations()) {
-    genome_digest = DigestBytes(genome_digest, &assoc.snp, sizeof(assoc.snp));
-    genome_digest = DigestBytes(genome_digest, &assoc.trait, sizeof(assoc.trait));
-    genome_digest = DigestBytes(genome_digest, &assoc.control_raf, sizeof(assoc.control_raf));
-    genome_digest = DigestBytes(genome_digest, &assoc.odds_ratio, sizeof(assoc.odds_ratio));
+    genome_digest = Fnv1a64(&assoc.snp, sizeof(assoc.snp), genome_digest);
+    genome_digest = Fnv1a64(&assoc.trait, sizeof(assoc.trait), genome_digest);
+    genome_digest = Fnv1a64(&assoc.control_raf, sizeof(assoc.control_raf), genome_digest);
+    genome_digest = Fnv1a64(&assoc.odds_ratio, sizeof(assoc.odds_ratio), genome_digest);
   }
   genomics::Individual person = genomics::SampleIndividual(catalog, genome_rng);
   genomics::TargetView view = genomics::MakeTargetView(catalog, person, {});
@@ -220,8 +209,8 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
                  << obs::Field("genome_snps", options.genome_snps);
 
   // The degree sequence pins the graph corpus.
-  uint64_t graph_digest = kFnvBasis;
-  for (int64_t degree : degrees) graph_digest = DigestBytes(graph_digest, &degree, sizeof(degree));
+  uint64_t graph_digest = kFnv1a64Basis;
+  for (int64_t degree : degrees) graph_digest = Fnv1a64(&degree, sizeof(degree), graph_digest);
 
   std::unique_ptr<ServeApp> app(new ServeApp(options, std::move(degrees), max_degree + 1,
                                              std::move(social), std::move(tradeoff),
@@ -252,7 +241,6 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
   }
   slo_options.eval_period_seconds = options.slo_eval_period_seconds;
   slo_options.alert_log = options.alert_log;
-  slo_options.alert_log_max_mb = options.alert_log_max_mb;
   slo_options.max_tenants = options.max_tenants;
   PPDP_ASSIGN_OR_RETURN(app->slo_, obs::SloEngine::Create(std::move(slo_options)));
   app->observer_.AttachSloEngine(app->slo_.get());
@@ -306,12 +294,11 @@ void ServeApp::RegisterRoutes() {
                            [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
                              HandleRequestz(request, response);
                            });
-  // Health folds in serving state: firing alerts (tri-state via the SLO
-  // engine), ledger rejections (TelemetryDegraded already sees tenant
-  // ledgers via SnapshotAll), queue pressure, WAL poisoning, draining.
+  // Health folds serving state into the process-wide conditions.
   server_->RegisterHandler("GET", "/healthz",
                            [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
-                             HandleHealthz(request, response);
+                             slo_->EvaluateIfDue();
+                             obs::WriteHealthz(Health(), request, response);
                            });
   // Both SLO surfaces evaluate on read, so a curl sees current verdicts
   // even when no request traffic is driving EvaluateIfDue.
@@ -345,81 +332,34 @@ void ServeApp::RegisterRoutes() {
                            });
 }
 
-ServeApp::HealthVerdict ServeApp::Health() const {
-  HealthVerdict verdict;
-  auto add = [&verdict](std::string name, int severity, std::string detail) {
-    verdict.severity = std::max(verdict.severity, severity);
-    verdict.conditions.push_back(HealthCondition{std::move(name), severity, std::move(detail)});
-  };
-  for (const std::string& alert : slo_->FiringAlerts()) {
-    // "rule" or "rule/tenant"; the rule part maps back to its severity.
-    const std::string rule = alert.substr(0, alert.find('/'));
-    int severity = 1;
-    for (const obs::AlertRule& candidate : slo_->rules()) {
-      if (candidate.name == rule) {
-        severity = candidate.severity == obs::AlertRule::Severity::kPage ? 2 : 1;
-        break;
-      }
-    }
-    add("alert." + alert, severity, "alert firing");
+std::vector<obs::HealthCondition> ServeApp::Health() const {
+  std::vector<obs::HealthCondition> conditions;
+  for (const obs::FiringAlert& alert : slo_->FiringAlerts()) {
+    conditions.push_back({"alert." + alert.name,
+                          alert.severity == obs::AlertRule::Severity::kPage ? 2 : 1,
+                          "alert firing"});
   }
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  if (const uint64_t gave_up = registry.counter("channel.gave_up").value(); gave_up > 0) {
-    add("channel.gave_up", 1, std::to_string(gave_up) + " channel give-ups");
-  }
-  if (const uint64_t degraded_estimates =
-          registry.counter("iot.server.degraded_estimates").value();
-      degraded_estimates > 0) {
-    add("iot.degraded_estimates", 1, std::to_string(degraded_estimates) + " degraded estimates");
-  }
-  for (const auto& [name, snapshot] : obs::PrivacyLedger::SnapshotAll()) {
-    if (snapshot.rejected > 0) {
-      add("ledger." + name + ".rejections",
-          1, std::to_string(snapshot.rejected) + " spend rejections");
-    }
+  for (obs::HealthCondition& condition : obs::ProcessHealthConditions()) {
+    conditions.push_back(std::move(condition));
   }
   if (admission_.UnderPressure()) {
-    add("admission.pressure", 1,
-        std::to_string(admission_.pending()) + "/" + std::to_string(admission_.max_pending()) +
-            " pending");
+    conditions.push_back({"admission.pressure", 1,
+                          std::to_string(admission_.pending()) + "/" +
+                              std::to_string(admission_.max_pending()) + " pending"});
   }
-  if (draining()) add("draining", 1, "shutdown drain in progress");
+  if (draining()) conditions.push_back({"draining", 1, "shutdown drain in progress"});
   if (wal_ != nullptr && wal_->poisoned()) {
-    add("ledger_wal.poisoned", 1, "WAL refused an append; durable spends disabled");
+    conditions.push_back(
+        {"ledger_wal.poisoned", 1, "WAL refused an append; durable spends disabled"});
   }
   // A flight dump marks that a postmortem artifact exists — worth naming,
   // but it describes a past event, not current serving health.
   if (obs::FlightRecorder::Global().dumped()) {
-    add("flight.dumped", 0, "flight recorder dumped to " +
-                                obs::FlightRecorder::Global().dump_path());
+    conditions.push_back(
+        {"flight.dumped", 0,
+         "flight recorder dumped to " + obs::FlightRecorder::Global().dump_path()});
   }
-  return verdict;
-}
-
-void ServeApp::HandleHealthz(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  slo_->EvaluateIfDue();
-  const HealthVerdict verdict = Health();
-  const char* text = verdict.severity >= 2 ? "failing" : verdict.severity == 1 ? "degraded" : "ok";
-  if (request.QueryIntOr("verbose", 0) == 0) {
-    // The plain body existing scrapers grep: one word, trailing newline.
-    response->Text(200, std::string(text) + "\n");
-    return;
-  }
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("ppdp.healthz.v1"));
-  doc.Set("health", JsonValue::String(text));
-  JsonValue conditions = JsonValue::Array();
-  for (const HealthCondition& condition : verdict.conditions) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("name", JsonValue::String(condition.name));
-    entry.Set("severity", JsonValue::String(condition.severity >= 2   ? "failing"
-                                            : condition.severity == 1 ? "degraded"
-                                                                      : "info"));
-    entry.Set("detail", JsonValue::String(condition.detail));
-    conditions.Append(std::move(entry));
-  }
-  doc.Set("conditions", std::move(conditions));
-  response->Json(200, doc);
+  return conditions;
 }
 
 void ServeApp::ObserveQueueDepth() {
@@ -611,6 +551,11 @@ void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse*
         if (!parsed_config.ok()) return parsed_config.status().ToString();
         kind = *parsed_kind;
         config = std::move(*parsed_config);
+        // The publisher's own checks (δ range, trait index, utility
+        // category) also come before the spend.
+        if (Status valid = PublisherFor(kind)->Validate(config); !valid.ok()) {
+          return valid.ToString();
+        }
         call->label = core::PublisherKindName(kind);
         call->mechanism = "publish";
         return "";
@@ -808,8 +753,8 @@ JsonValue ServeApp::StatuszSection() const {
     slo.Set("rules", JsonValue::Number(static_cast<double>(slo_->rules().size())));
     slo.Set("transitions", JsonValue::Number(static_cast<double>(slo_->transitions_total())));
     JsonValue firing = JsonValue::Array();
-    for (const std::string& alert : slo_->FiringAlerts()) {
-      firing.Append(JsonValue::String(alert));
+    for (const obs::FiringAlert& alert : slo_->FiringAlerts()) {
+      firing.Append(JsonValue::String(alert.name));
     }
     slo.Set("firing", std::move(firing));
     if (const obs::RotatingJsonlLog* log = slo_->alert_log(); log != nullptr) {

@@ -59,11 +59,10 @@ struct ServeOptions {
   /// built-in defaults (availability, latency p99, queue pressure, ledger
   /// burn); the SLO engine itself is always on.
   std::string slo_config;
-  /// JSONL alert log path (--alert_log, `ppdp.alertlog.v1`). Empty = alert
-  /// transitions only reach /metrics, /alertz and the FlightRecorder.
+  /// JSONL alert log path (--alert_log, `ppdp.alertlog.v1`; rotates at
+  /// 16 MB). Empty = alert transitions only reach /metrics, /alertz and the
+  /// FlightRecorder.
   std::string alert_log;
-  /// Alert-log size rotation threshold (--alert_log_max_mb).
-  double alert_log_max_mb = 16.0;
   /// Request-path alert evaluation throttle (--slo_eval_period_s).
   double slo_eval_period_seconds = 1.0;
 };
@@ -90,9 +89,9 @@ struct ServeOptions {
 /// gets 403 with remaining-ε detail while other tenants are unaffected; a
 /// full admission queue answers 429. /healthz (overridden here) is
 /// tri-state — `failing` when a page-severity alert fires, `degraded` for
-/// firing ticket alerts or the legacy conditions (ledger rejections, queue
-/// pressure, draining) — and `?verbose=1` itemizes every contributing
-/// condition as JSON. Stop() drains: new requests get 503 while in-flight
+/// firing ticket alerts, the process-wide conditions (ledger rejections,
+/// ...) or queue pressure, WAL poisoning and draining — and `?verbose=1`
+/// itemizes every contributing condition as JSON. Stop() drains: new requests get 503 while in-flight
 /// ones finish, then the server stops.
 class ServeApp {
  public:
@@ -139,20 +138,10 @@ class ServeApp {
   void HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* response);
   void HandleAggregate(const obs::HttpRequest& request, obs::HttpResponse* response);
   void HandleRequestz(const obs::HttpRequest& request, obs::HttpResponse* response);
-  void HandleHealthz(const obs::HttpRequest& request, obs::HttpResponse* response);
 
-  /// The tri-state health verdict + the conditions behind it (the verbose
-  /// /healthz body). Severity: 0 = ok, 1 = degraded, 2 = failing.
-  struct HealthCondition {
-    std::string name;      ///< "alert.<rule>", "ledger.rejections", ...
-    int severity = 0;      ///< 0 = info-only, 1 = degrades, 2 = fails
-    std::string detail;
-  };
-  struct HealthVerdict {
-    int severity = 0;  ///< max over conditions
-    std::vector<HealthCondition> conditions;
-  };
-  HealthVerdict Health() const;
+  /// The /healthz conditions: firing alerts, the process-wide list, then
+  /// queue pressure, draining, WAL poisoning and a flight dump.
+  std::vector<obs::HealthCondition> Health() const;
 
   struct Route;
   struct Call;

@@ -7,16 +7,10 @@
 namespace ppdp::serve {
 
 Status TenantRegistry::ValidateName(const std::string& tenant) {
+  if (obs::IsEntityName(tenant)) return Status::Ok();
   if (tenant.empty()) return Status::InvalidArgument("tenant name must not be empty");
   if (tenant.size() > 64) return Status::InvalidArgument("tenant name exceeds 64 characters");
-  for (char c : tenant) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-                    c == '_' || c == '.' || c == '-';
-    if (!ok) {
-      return Status::InvalidArgument("tenant name may only contain [A-Za-z0-9_.-]: " + tenant);
-    }
-  }
-  return Status::Ok();
+  return Status::InvalidArgument("tenant name may only contain [A-Za-z0-9_.-]: " + tenant);
 }
 
 Result<obs::PrivacyLedger*> TenantRegistry::ForTenant(const std::string& tenant) {

@@ -247,16 +247,24 @@ TEST(PublisherInterfaceTest, UnifiedPublishRunsEveryKind) {
 }
 
 TEST(PublisherInterfaceTest, PublishRejectsBadConfigInsteadOfCrashing) {
+  // Validate is the check Publish runs first: the same verdict, no run.
+  auto rejects = [](const Publisher& publisher, const PublishConfig& config) {
+    const Status valid = publisher.Validate(config);
+    EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(publisher.Publish(config).status().ToString(), valid.ToString());
+  };
   graph::SocialGraph g = GenerateSyntheticGraph(graph::CaltechLikeConfig(0.2, 11));
   auto social = CreatePublisher(PublisherKind::kSocial, g, {.seed = 1});
   ASSERT_TRUE(social.ok());
+  EXPECT_TRUE((*social)->Validate(PublishConfig{}).ok());
   PublishConfig bad_category;
   bad_category.utility_category = 999;
-  EXPECT_EQ((*social)->Publish(bad_category).status().code(), StatusCode::kInvalidArgument);
+  rejects(**social, bad_category);
 
   auto tradeoff = CreatePublisher(PublisherKind::kTradeoff, g, {.seed = 1});
   ASSERT_TRUE(tradeoff.ok());
-  EXPECT_EQ((*tradeoff)->Publish(bad_category).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE((*tradeoff)->Validate(PublishConfig{}).ok());
+  rejects(**tradeoff, bad_category);
 
   Rng rng(5);
   genomics::SyntheticCatalogConfig catalog_config;
@@ -266,14 +274,15 @@ TEST(PublisherInterfaceTest, PublishRejectsBadConfigInsteadOfCrashing) {
   auto genome =
       CreatePublisher(catalog, genomics::MakeTargetView(catalog, person, {}), {});
   ASSERT_TRUE(genome.ok());
+  EXPECT_TRUE((*genome)->Validate(PublishConfig{}).ok());
   PublishConfig bad_trait;
   bad_trait.target_traits = {catalog.num_traits() + 7};
-  EXPECT_EQ((*genome)->Publish(bad_trait).status().code(), StatusCode::kInvalidArgument);
+  rejects(**genome, bad_trait);
   for (double delta : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(delta);
     PublishConfig bad_delta;
     bad_delta.delta = delta;
-    EXPECT_EQ((*genome)->Publish(bad_delta).status().code(), StatusCode::kInvalidArgument)
-        << delta;
+    rejects(**genome, bad_delta);
   }
 }
 

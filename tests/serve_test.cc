@@ -1062,6 +1062,10 @@ TEST(ServeAppLifecycleTest, EachEndpointOutcomePinsStatusBodyStagesAndSpend) {
        kParse, "shape", 0.0},
       {"publish bad tenant", "/v1/publish", R"({"tenant":"","kind":"genome"})", false, 400,
        ErrorBody(TenantRegistry::ValidateName("").ToString()), kParse, "pub", 0.25},
+      {"publish delta outside [0,1]", "/v1/publish",
+       R"({"tenant":"pub","kind":"genome","epsilon":0.25,"config":{"delta":1.5}})", false, 400,
+       ErrorBody(Status::InvalidArgument("delta must be in [0,1]").ToString()), kParse, "pub",
+       0.25},
       {"publish 429", "/v1/publish", R"({"tenant":"pub","kind":"genome","epsilon":0.25})", true,
        429, queue_full, kQueued, "pub", 0.25},
       {"publish 504", "/v1/publish",
@@ -1127,11 +1131,12 @@ TEST(ServeAppLifecycleTest, EachEndpointOutcomePinsStatusBodyStagesAndSpend) {
   // 503 while draining: a deadlined request parked in admission keeps the
   // drain open while every endpoint is asked once more.
   std::optional<AdmissionSlot> held((*app)->admission().TryAdmit());
+  Result<ClientResponse> parked_reply = Status::Unavailable("not answered");
   std::thread parked([&] {
-    // Only its time in flight matters: once it leaves the handler the drain
-    // ends, and Stop() may close its socket before the 504 is written.
-    (void)HttpRequest(port, "POST", agg,
-                      R"({"tenant":"agg","epsilon":0.25,"deadline_ms":1500})");
+    // Admitted before Stop, so the drain waits for it and its answer must
+    // reach the client even though the server stops right after.
+    parked_reply = HttpRequest(port, "POST", agg,
+                               R"({"tenant":"agg","epsilon":0.25,"deadline_ms":1500})");
   });
   while ((*app)->inflight() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::thread stopper([&] { (*app)->Stop(); });
@@ -1149,6 +1154,9 @@ TEST(ServeAppLifecycleTest, EachEndpointOutcomePinsStatusBodyStagesAndSpend) {
   parked.join();
   stopper.join();
   held.reset();
+  ASSERT_TRUE(parked_reply.ok()) << parked_reply.status().ToString();
+  EXPECT_EQ(parked_reply->status, 504);
+  EXPECT_EQ(parked_reply->body, queued_out);
   EXPECT_NEAR((*app)->tenants().FindTenant("agg")->spent(), 0.25, 1e-12);
   EXPECT_EQ(RequestSecondsCount() - timed_before, ok_responses);
 

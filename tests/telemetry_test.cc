@@ -237,6 +237,12 @@ TEST(TelemetryServerTest, HealthzTracksLedgerRejections) {
     PrivacyLedger ledger(0.5);
     EXPECT_FALSE(ledger.Spend("big", "laplace", 1.0).ok());  // over budget
     EXPECT_EQ(server.HandlePath("/healthz", &status, &content_type), "degraded\n");
+    ledger.SetName("healthz_entity");
+    // The verbose body names the condition from the same list.
+    EXPECT_EQ(server.HandlePath("/healthz?verbose=1", &status, &content_type),
+              "{\"schema\":\"ppdp.healthz.v1\",\"health\":\"degraded\",\"conditions\":["
+              "{\"name\":\"ledger.healthz_entity.rejections\",\"severity\":\"degraded\","
+              "\"detail\":\"1 spend rejections\"}]}\n");
   }
   // The rejected ledger died with its scope; the process is healthy again.
   EXPECT_EQ(server.HandlePath("/healthz", &status, &content_type), "ok\n");

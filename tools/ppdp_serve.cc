@@ -33,9 +33,8 @@
 //   --slo_config PATH     ppdp.slo.v1 alert-rule config; empty = built-in
 //                         defaults (availability, latency p99, queue
 //                         pressure, per-tenant ledger burn)
-//   --alert_log PATH      JSONL alert-transition log (ppdp.alertlog.v1);
-//                         off when empty
-//   --alert_log_max_mb X  alert-log size rotation threshold (16)
+//   --alert_log PATH      JSONL alert-transition log (ppdp.alertlog.v1,
+//                         rotates at 16 MB); off when empty
 //   --slo_eval_period_s X request-path alert evaluation throttle; /alertz
 //                         and /sloz always evaluate on read (1)
 //   --log_level L         debug|info|warn|error|off (info)
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
   options.slow_request_ms = flags.GetDouble("slow_request_ms", options.slow_request_ms);
   options.slo_config = flags.GetString("slo_config", "");
   options.alert_log = flags.GetString("alert_log", "");
-  options.alert_log_max_mb = flags.GetDouble("alert_log_max_mb", options.alert_log_max_mb);
   options.slo_eval_period_seconds =
       flags.GetDouble("slo_eval_period_s", options.slo_eval_period_seconds);
   Result<obs::LedgerWal::SyncPolicy> sync_policy =
