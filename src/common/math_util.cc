@@ -51,7 +51,7 @@ size_t ArgMax(const std::vector<double>& values) {
   return best;
 }
 
-void NormalizeInPlace(std::vector<double>& values) {
+void NormalizeInPlace(std::span<double> values) {
   PPDP_CHECK(!values.empty()) << "normalizing empty vector";
   double total = 0.0;
   for (double v : values) {

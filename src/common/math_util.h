@@ -2,6 +2,7 @@
 #define PPDP_COMMON_MATH_UTIL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ppdp {
@@ -28,7 +29,7 @@ size_t ArgMax(const std::vector<double>& values);
 
 /// Scales `values` in place so they sum to 1. If the sum is zero the vector
 /// becomes uniform. Requires non-negative entries and a non-empty vector.
-void NormalizeInPlace(std::vector<double>& values);
+void NormalizeInPlace(std::span<double> values);
 
 /// Returns a normalized copy of `values` (see NormalizeInPlace).
 std::vector<double> Normalized(std::vector<double> values);

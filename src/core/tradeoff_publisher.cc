@@ -71,6 +71,8 @@ Result<PublishOutput> TradeoffPublisher::Publish(const PublishConfig& config) co
   tradeoff_config.num_links = config.num_links;
   tradeoff_config.delta = config.delta;
   tradeoff_config.utility_category = config.utility_category;
+  // The collective attack runs at the publisher's construction width.
+  tradeoff_config.attack.threads = threads_;
 
   // A zero-op strategy run sanitizes nothing but still measures latent
   // privacy, giving the unsanitized baseline on the same scale.

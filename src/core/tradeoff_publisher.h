@@ -36,7 +36,8 @@ class TradeoffPublisher : public Publisher {
   /// Unified entry point: applies config.strategy with the config's counts
   /// and δ, plus one zero-op strategy run to measure baseline latent
   /// privacy. privacy_* is latent privacy (adversary 0/1 error, higher =
-  /// safer); utility_loss is the prediction loss.
+  /// safer); utility_loss is the prediction loss. The collective attack
+  /// runs at the construction `options.threads` width.
   Result<PublishOutput> Publish(const PublishConfig& config) const override;
 
   /// Builds the (ε, δ)-UtiOptPri attribute-side problem over the

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/math_util.h"
-#include "exec/parallel.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -106,128 +106,141 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
   static obs::Histogram& iteration_seconds =
       obs::MetricsRegistry::Global().histogram("genomics.bp.iteration_seconds");
   runs.Increment();
-  // Messages are indexed by (factor, position-within-factor).
+
+  // Lay out one slot per (factor, position); factor_base[f] is factor f's
+  // first slot offset, the same in both message arrays. Scratch sizes come
+  // from the widest factor.
+  std::vector<size_t> factor_base(factors_.size() + 1, 0);
+  size_t max_arity = 0;
+  size_t max_slots = 0;
+  for (size_t f = 0; f < factors_.size(); ++f) {
+    size_t slots = 0;
+    for (size_t v : factors_[f].variables) slots += domains_[v];
+    factor_base[f + 1] = factor_base[f] + slots;
+    max_arity = std::max(max_arity, factors_[f].variables.size());
+    max_slots = std::max(max_slots, slots);
+  }
   Messages messages;
   auto& to_factor = messages.to_factor;
   auto& to_variable = messages.to_variable;
-  to_factor.resize(factors_.size());
-  to_variable.resize(factors_.size());
+  to_factor.resize(factor_base.back());
+  to_variable.resize(factor_base.back());
+  // Uniform start; evidence variables send their indicator from the
+  // first sweep on, so it is written once here.
   for (size_t f = 0; f < factors_.size(); ++f) {
-    const auto& vars = factors_[f].variables;
-    to_factor[f].resize(vars.size());
-    to_variable[f].resize(vars.size());
-    for (size_t k = 0; k < vars.size(); ++k) {
-      double uniform = 1.0 / static_cast<double>(domains_[vars[k]]);
-      to_factor[f][k].assign(domains_[vars[k]], uniform);
-      to_variable[f][k].assign(domains_[vars[k]], uniform);
+    size_t offset = factor_base[f];
+    for (size_t v : factors_[f].variables) {
+      double uniform = 1.0 / static_cast<double>(domains_[v]);
+      std::fill_n(to_variable.begin() + offset, domains_[v], uniform);
+      if (evidence_[v] >= 0) {
+        std::fill_n(to_factor.begin() + offset, domains_[v], 0.0);
+        to_factor[offset + static_cast<size_t>(evidence_[v])] = 1.0;
+      } else {
+        std::fill_n(to_factor.begin() + offset, domains_[v], uniform);
+      }
+      offset += domains_[v];
+    }
+  }
+  // Each variable's incoming slots, in factors_of_variable_ order (the
+  // order every product over them multiplies in).
+  auto& incoming_begin = messages.incoming_begin;
+  auto& incoming = messages.incoming;
+  incoming_begin.assign(domains_.size() + 1, 0);
+  for (size_t v = 0; v < domains_.size(); ++v) {
+    incoming_begin[v + 1] = incoming_begin[v] + factors_of_variable_[v].size();
+  }
+  incoming.resize(incoming_begin.back());
+  for (size_t v = 0; v < domains_.size(); ++v) {
+    size_t next = incoming_begin[v];
+    for (size_t f : factors_of_variable_[v]) {
+      size_t offset = factor_base[f];
+      for (size_t u : factors_[f].variables) {
+        if (u == v) break;
+        offset += domains_[u];
+      }
+      incoming[next++] = {f, offset};
     }
   }
 
-  // Evidence indicator for a variable, or nullptr when free.
-  auto evidence_message = [&](size_t v) {
-    std::vector<double> msg(domains_[v], 0.0);
-    msg[static_cast<size_t>(evidence_[v])] = 1.0;
-    return msg;
-  };
-
-  const exec::ExecConfig exec_config{options.threads};
-  // Factors are tiny (pairwise tables over domains 2-3); batch enough per
-  // chunk that the fan-out cost amortizes.
-  constexpr size_t kFactorGrain = 32;
-  std::vector<double> factor_change(factors_.size(), 0.0);
+  std::vector<size_t> assignment(max_arity);
+  std::vector<double> fresh(max_slots);
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     double iteration_start = obs::MonotonicSeconds();
-    // Variable -> factor. Each (f, k) slot of to_factor is written exactly
-    // once and reads only the previous phase's to_variable — the flooding
-    // schedule is already double-buffered, so fanning the factors out
-    // changes nothing about the fixed point or the iterates.
-    exec::ParallelFor(
-        0, factors_.size(), kFactorGrain,
-        [&](size_t f) {
-          const auto& vars = factors_[f].variables;
-          for (size_t k = 0; k < vars.size(); ++k) {
-            size_t v = vars[k];
-            if (evidence_[v] >= 0) {
-              to_factor[f][k] = evidence_message(v);
-              continue;
-            }
-            std::vector<double> msg(domains_[v], 1.0);
-            for (size_t other_f : factors_of_variable_[v]) {
-              if (other_f == f) continue;
-              const auto& other_vars = factors_[other_f].variables;
-              for (size_t k2 = 0; k2 < other_vars.size(); ++k2) {
-                if (other_vars[k2] != v) continue;
-                for (size_t x = 0; x < domains_[v]; ++x) msg[x] *= to_variable[other_f][k2][x];
-              }
-            }
-            NormalizeInPlace(msg);
-            to_factor[f][k] = std::move(msg);
+    // Variable -> factor: reads only the previous sweep's to_variable.
+    for (size_t f = 0; f < factors_.size(); ++f) {
+      size_t offset = factor_base[f];
+      for (size_t v : factors_[f].variables) {
+        const size_t d = domains_[v];
+        if (evidence_[v] < 0) {
+          std::span<double> msg(to_factor.data() + offset, d);
+          std::fill(msg.begin(), msg.end(), 1.0);
+          for (size_t i = incoming_begin[v]; i < incoming_begin[v + 1]; ++i) {
+            if (incoming[i].first == f) continue;
+            const double* in = to_variable.data() + incoming[i].second;
+            for (size_t x = 0; x < d; ++x) msg[x] *= in[x];
           }
-        },
-        exec_config);
+          NormalizeInPlace(msg);
+        }
+        offset += d;
+      }
+    }
 
-    // Factor -> variable.
-    exec::ParallelFor(
-        0, factors_.size(), kFactorGrain,
-        [&](size_t f) {
-          const auto& vars = factors_[f].variables;
-          std::vector<size_t> assignment(vars.size(), 0);
-          std::vector<std::vector<double>> fresh(vars.size());
-          for (size_t k = 0; k < vars.size(); ++k) fresh[k].assign(domains_[vars[k]], 0.0);
-          // One sweep over the joint table accumulates every outgoing
-          // message.
-          for (;;) {
-            double value = TableValue(factors_[f], assignment);
-            if (value > 0.0) {
-              // Precompute the product of all incoming messages, then divide
-              // out each position's own (guarding zero messages with a
-              // direct product).
-              for (size_t k = 0; k < vars.size(); ++k) {
-                double partial = value;
-                for (size_t k2 = 0; k2 < vars.size(); ++k2) {
-                  if (k2 == k) continue;
-                  partial *= to_factor[f][k2][assignment[k2]];
-                }
-                if (max_product) {
-                  fresh[k][assignment[k]] = std::max(fresh[k][assignment[k]], partial);
-                } else {
-                  fresh[k][assignment[k]] += partial;
-                }
-              }
-            }
-            // Mixed-radix increment (last variable fastest); exit on
-            // wrap-around.
-            size_t pos = vars.size();
-            bool wrapped = false;
-            for (;;) {
-              if (pos == 0) {
-                wrapped = true;
-                break;
-              }
-              --pos;
-              if (++assignment[pos] < domains_[vars[pos]]) break;
-              assignment[pos] = 0;
-            }
-            if (wrapped) break;
-          }
-          double change = 0.0;
-          for (size_t k = 0; k < vars.size(); ++k) {
-            NormalizeInPlace(fresh[k]);
-            if (options.damping > 0.0) {
-              for (size_t x = 0; x < fresh[k].size(); ++x) {
-                fresh[k][x] = (1.0 - options.damping) * fresh[k][x] +
-                              options.damping * to_variable[f][k][x];
-              }
-              NormalizeInPlace(fresh[k]);
-            }
-            change = std::max(change, L1Distance(fresh[k], to_variable[f][k]));
-            to_variable[f][k] = std::move(fresh[k]);
-          }
-          factor_change[f] = change;
-        },
-        exec_config);
+    // Factor -> variable: one sweep over each joint table (row-major, so
+    // entry i is the table value of the i-th mixed-radix assignment)
+    // accumulates every outgoing message into `fresh`.
     double max_change = 0.0;
-    for (double change : factor_change) max_change = std::max(max_change, change);
+    for (size_t f = 0; f < factors_.size(); ++f) {
+      const auto& vars = factors_[f].variables;
+      const auto& table = factors_[f].table;
+      const size_t base = factor_base[f];
+      const size_t slots = factor_base[f + 1] - base;
+      const double* in = to_factor.data() + base;
+      std::fill_n(assignment.begin(), vars.size(), 0);
+      std::fill_n(fresh.begin(), slots, 0.0);
+      for (double value : table) {
+        if (value > 0.0) {
+          // Each position's outgoing entry is the table value times every
+          // other position's incoming message.
+          size_t offset_k = 0;
+          for (size_t k = 0; k < vars.size(); ++k) {
+            double partial = value;
+            size_t offset_k2 = 0;
+            for (size_t k2 = 0; k2 < vars.size(); ++k2) {
+              if (k2 != k) partial *= in[offset_k2 + assignment[k2]];
+              offset_k2 += domains_[vars[k2]];
+            }
+            double& out = fresh[offset_k + assignment[k]];
+            out = max_product ? std::max(out, partial) : out + partial;
+            offset_k += domains_[vars[k]];
+          }
+        }
+        // Mixed-radix increment, last variable fastest.
+        for (size_t pos = vars.size(); pos > 0; --pos) {
+          if (++assignment[pos - 1] < domains_[vars[pos - 1]]) break;
+          assignment[pos - 1] = 0;
+        }
+      }
+      double change = 0.0;
+      size_t offset = 0;
+      for (size_t v : vars) {
+        const size_t d = domains_[v];
+        std::span<double> next(fresh.data() + offset, d);
+        double* old = to_variable.data() + base + offset;
+        NormalizeInPlace(next);
+        if (options.damping > 0.0) {
+          for (size_t x = 0; x < d; ++x) {
+            next[x] = (1.0 - options.damping) * next[x] + options.damping * old[x];
+          }
+          NormalizeInPlace(next);
+        }
+        double distance = 0.0;
+        for (size_t x = 0; x < d; ++x) distance += std::fabs(next[x] - old[x]);
+        change = std::max(change, distance);
+        std::copy(next.begin(), next.end(), old);
+        offset += d;
+      }
+      max_change = std::max(max_change, change);
+    }
 
     messages.iterations = iter + 1;
     iteration_count.Increment();
@@ -249,22 +262,18 @@ std::vector<std::vector<double>> FactorGraph::Beliefs(const Messages& messages) 
   // Beliefs: product of incoming factor messages (and evidence).
   std::vector<std::vector<double>> beliefs(domains_.size());
   for (size_t v = 0; v < domains_.size(); ++v) {
+    std::vector<double>& belief = beliefs[v];
     if (evidence_[v] >= 0) {
-      std::vector<double> one_hot(domains_[v], 0.0);
-      one_hot[static_cast<size_t>(evidence_[v])] = 1.0;
-      beliefs[v] = std::move(one_hot);
+      belief.assign(domains_[v], 0.0);
+      belief[static_cast<size_t>(evidence_[v])] = 1.0;
       continue;
     }
-    std::vector<double> belief(domains_[v], 1.0);
-    for (size_t f : factors_of_variable_[v]) {
-      const auto& vars = factors_[f].variables;
-      for (size_t k = 0; k < vars.size(); ++k) {
-        if (vars[k] != v) continue;
-        for (size_t x = 0; x < domains_[v]; ++x) belief[x] *= messages.to_variable[f][k][x];
-      }
+    belief.assign(domains_[v], 1.0);
+    for (size_t i = messages.incoming_begin[v]; i < messages.incoming_begin[v + 1]; ++i) {
+      const double* in = messages.to_variable.data() + messages.incoming[i].second;
+      for (size_t x = 0; x < domains_[v]; ++x) belief[x] *= in[x];
     }
     NormalizeInPlace(belief);
-    beliefs[v] = std::move(belief);
   }
   return beliefs;
 }

@@ -2,6 +2,7 @@
 #define PPDP_GENOMICS_FACTOR_GRAPH_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -41,10 +42,9 @@ class FactorGraph {
     size_t max_iterations = 50;
     double damping = 0.0;   ///< 0 = plain updates; 0.3-0.5 helps loopy graphs
     double tolerance = 1e-8;  ///< max message L∞ change for convergence
-    /// Exec convention (0 = all cores, 1 = serial). The flooding schedule
-    /// double-buffers between variable-side and factor-side messages, so
-    /// per-factor updates within a phase are independent — marginals are
-    /// byte-identical at every thread count.
+    /// Ignored: message passing always runs serially on the calling
+    /// thread. Kept only so existing callers that set it still compile;
+    /// delete it with its last caller.
     int threads = 0;
   };
 
@@ -87,10 +87,19 @@ class FactorGraph {
     std::vector<double> table;
   };
 
-  /// Message state shared by sum-product and max-product passes.
+  /// Message state shared by sum-product and max-product passes. Both
+  /// directions live in flat arrays with one slot per (factor, position):
+  /// factor f's slots start at the sum of the domains of every earlier
+  /// factor's variables, and slot (f, k) holds domain(variables[k])
+  /// doubles.
   struct Messages {
-    std::vector<std::vector<std::vector<double>>> to_factor;
-    std::vector<std::vector<std::vector<double>>> to_variable;
+    std::vector<double> to_factor;
+    std::vector<double> to_variable;
+    /// Per variable v, the offsets of the slots that feed it, in
+    /// factors_of_variable_ order: incoming[incoming_begin[v] ..
+    /// incoming_begin[v + 1]), each {factor, offset}.
+    std::vector<size_t> incoming_begin;
+    std::vector<std::pair<size_t, size_t>> incoming;
     size_t iterations = 0;
     bool converged = false;
   };

@@ -137,8 +137,11 @@ size_t CaptureBacktrace(void* ucontext_raw, const ThreadSlot* slot, void** frame
 void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ucontext_raw) {
   int saved_errno = errno;
   ThreadSlot* slot = t_slot;
-  if (slot != nullptr && g_running.load(std::memory_order_relaxed)) {
-    Sample* buffer = slot->buffer.load(std::memory_order_relaxed);
+  // Acquire pairs with Profiler::Start's release stores: a handler that
+  // sees the capture running (or the buffer) also sees the buffer's
+  // allocation and the slot's reset head.
+  if (slot != nullptr && g_running.load(std::memory_order_acquire)) {
+    Sample* buffer = slot->buffer.load(std::memory_order_acquire);
     if (buffer != nullptr) {
       uint64_t head = slot->head.load(std::memory_order_relaxed);
       if (head >= Profiler::kMaxSamplesPerThread) {

@@ -59,9 +59,9 @@ struct ActiveSpanRegistry {
     return *registry;
   }
 
-  void Push(uint32_t thread, const std::string& name) {
+  void Push(uint32_t thread, std::string name) {
     std::lock_guard<std::mutex> lock(mutex);
-    stacks[thread].push_back(name);
+    stacks[thread].push_back(std::move(name));
   }
 
   void Pop(uint32_t thread) {
@@ -139,14 +139,14 @@ bool TraceRecorder::enabled() const {
   return enabled_;
 }
 
-void TraceRecorder::Record(TraceEvent event) {
+void TraceRecorder::Record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled_) return;
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;
   }
-  events_.push_back(std::move(event));
+  events_.push_back(event);
 }
 
 size_t TraceRecorder::num_events() const {
@@ -180,11 +180,11 @@ std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
     uint64_t alloc_bytes = 0;
     uint64_t rss_peak = 0;
   };
-  std::map<std::string, Agg> phases;
+  std::map<uint32_t, Agg> by_id;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const TraceEvent& e : events_) {
-      Agg& agg = phases[e.name];
+      Agg& agg = by_id[e.name_id];
       if (agg.count == 0 || e.duration_us < agg.min_us) agg.min_us = e.duration_us;
       if (agg.count == 0 || e.duration_us > agg.max_us) agg.max_us = e.duration_us;
       agg.total_us += e.duration_us;
@@ -194,6 +194,8 @@ std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
       ++agg.count;
     }
   }
+  std::map<std::string, Agg> phases;
+  for (const auto& [id, agg] : by_id) phases.emplace(SpanNameForId(id), agg);
   std::vector<PhaseStats> stats;
   stats.reserve(phases.size());
   for (const auto& [name, agg] : phases) {
@@ -239,7 +241,7 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
     const TraceEvent& e = snapshot[i];
     if (i) file << ",";
     file << "\n{\"name\":\"";
-    for (char c : e.name) {
+    for (char c : SpanNameForId(e.name_id)) {
       if (c == '"' || c == '\\') file << '\\';
       file << c;
     }
@@ -253,19 +255,18 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
 }
 
 TraceSpan::TraceSpan(std::string name)
-    : name_(std::move(name)),
+    : name_id_(InternSpanName(name)),
       start_us_(MonotonicSeconds() * 1e6),
       start_cpu_us_(ThreadCpuSeconds() * 1e6),
       start_alloc_bytes_(ThreadAllocBytes()) {
   // Publish the interned id for the profiler's signal handler: the id is
   // stored before the depth that makes it visible.
-  uint32_t id = InternSpanName(name_);
   uint32_t depth = t_span_stack.depth.load(std::memory_order_relaxed);
   if (depth < kMaxSignalSpanDepth) {
-    t_span_stack.ids[depth].store(id, std::memory_order_relaxed);
+    t_span_stack.ids[depth].store(name_id_, std::memory_order_relaxed);
   }
   t_span_stack.depth.store(depth + 1, std::memory_order_release);
-  ActiveSpanRegistry::Global().Push(ThisThreadOrdinal(), name_);
+  ActiveSpanRegistry::Global().Push(ThisThreadOrdinal(), std::move(name));
 }
 
 double TraceSpan::ElapsedSeconds() const { return MonotonicSeconds() - start_us_ / 1e6; }
@@ -275,14 +276,14 @@ TraceSpan::~TraceSpan() {
   if (depth > 0) t_span_stack.depth.store(depth - 1, std::memory_order_release);
   ActiveSpanRegistry::Global().Pop(ThisThreadOrdinal());
   TraceEvent event;
-  event.name = std::move(name_);
+  event.name_id = name_id_;
   event.thread = ThisThreadOrdinal();
   event.start_us = start_us_;
   event.duration_us = MonotonicSeconds() * 1e6 - start_us_;
   event.cpu_us = ThreadCpuSeconds() * 1e6 - start_cpu_us_;
   event.alloc_bytes = ThreadAllocBytes() - start_alloc_bytes_;
   event.rss_bytes = CurrentRssBytesCached();
-  TraceRecorder::Global().Record(std::move(event));
+  TraceRecorder::Global().Record(event);
 }
 
 }  // namespace ppdp::obs

@@ -17,8 +17,10 @@ namespace ppdp::obs {
 /// separate "slow because busy" from "slow because waiting", plus the bytes
 /// this thread allocated inside the span and the process RSS sampled at
 /// close — the same phase names thereby break down time *and* memory.
+/// The name is the span's interned id (SpanNameForId resolves it), so an
+/// event owns no heap memory.
 struct TraceEvent {
-  std::string name;
+  uint32_t name_id = 0;
   uint32_t thread = 0;  ///< small per-process thread ordinal
   double start_us = 0.0;
   double duration_us = 0.0;
@@ -82,7 +84,7 @@ class TraceRecorder {
   void SetEnabled(bool enabled);
   bool enabled() const;
 
-  void Record(TraceEvent event);
+  void Record(const TraceEvent& event);
   size_t num_events() const;
   size_t num_dropped() const;
   std::vector<TraceEvent> events() const;
@@ -137,7 +139,7 @@ class TraceSpan {
   double ElapsedSeconds() const;
 
  private:
-  std::string name_;
+  uint32_t name_id_;
   double start_us_;
   double start_cpu_us_;
   uint64_t start_alloc_bytes_;

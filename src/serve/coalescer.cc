@@ -1,6 +1,5 @@
 #include "serve/coalescer.h"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -8,55 +7,40 @@ namespace ppdp::serve {
 
 BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestContext* context,
                                             const Runner& runner) {
+  // A leader's coalesce.wait is the time to claim the key; a waiter's runs
+  // until the leader's result arrives.
+  std::optional<StageTimer> wait_stage;
+  if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
   std::shared_ptr<Batch> batch;
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = open_batches_.find(key);
-    if (it != open_batches_.end()) {
-      // Joining is only sound while the leader's window is open; the open
-      // flag is checked under the batch's own lock to close the race with
-      // the leader ending its window.
-      std::lock_guard<std::mutex> batch_lock(it->second->mutex);
-      if (it->second->open) {
-        batch = it->second;
-        ++batch->members;
-      }
-    }
-    if (batch == nullptr) {
-      batch = std::make_shared<Batch>();
-      if (context != nullptr) batch->leader_request_id = context->record.request_id;
-      open_batches_[key] = batch;
+    std::shared_ptr<Batch>& listed = running_[key];
+    if (listed != nullptr) {
+      batch = listed;
+      ++batch->members;
+    } else {
+      listed = std::make_shared<Batch>();
+      if (context != nullptr) listed->leader_request_id = context->record.request_id;
+      batch = listed;
       leader = true;
     }
   }
 
   if (leader) {
-    {
-      // The leader's coalesce.wait is exactly its batching window.
-      std::optional<StageTimer> wait_stage;
-      if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
-      std::unique_lock<std::mutex> batch_lock(batch->mutex);
-      // The batching window: followers accumulate while the leader waits.
-      // Shutdown() short-circuits it so draining never waits out windows.
-      batch->cv.wait_for(batch_lock,
-                         std::chrono::duration<double>(options_.window_seconds),
-                         [this] { return stopping_.load(std::memory_order_acquire); });
-      batch->open = false;
-    }
-    {
-      // Un-list before running: arrivals during the (long) publisher run
-      // start a fresh batch instead of waiting two windows.
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = open_batches_.find(key);
-      if (it != open_batches_.end() && it->second == batch) open_batches_.erase(it);
-    }
+    wait_stage.reset();
     Result<core::PublishOutput> result = [&] {
       std::optional<StageTimer> publish_stage;
       if (context != nullptr) publish_stage.emplace(context, "serve.publish");
       return runner();
     }();
     batches_run_.fetch_add(1, std::memory_order_relaxed);
+    {
+      // Un-list only now: every arrival up to here joined this run, and
+      // every later one starts a fresh run.
+      std::lock_guard<std::mutex> lock(mutex_);
+      running_.erase(key);
+    }
     {
       std::lock_guard<std::mutex> batch_lock(batch->mutex);
       batch->result = std::move(result);
@@ -65,22 +49,12 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
     batch->cv.notify_all();
   } else {
     followers_served_.fetch_add(1, std::memory_order_relaxed);
-    // A waiter's whole latency inside the coalescer is wait: the leader's
-    // window plus the leader's publish run.
-    std::optional<StageTimer> wait_stage;
-    if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
     std::unique_lock<std::mutex> batch_lock(batch->mutex);
     batch->cv.wait(batch_lock, [&batch] { return batch->done; });
   }
 
   std::lock_guard<std::mutex> batch_lock(batch->mutex);
   return Outcome{batch->result, leader, batch->members, batch->leader_request_id};
-}
-
-void BatchCoalescer::Shutdown() {
-  stopping_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, batch] : open_batches_) batch->cv.notify_all();
 }
 
 }  // namespace ppdp::serve

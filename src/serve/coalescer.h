@@ -17,20 +17,22 @@
 namespace ppdp::serve {
 
 /// Request coalescing for publisher runs: requests that name the same
-/// corpus + sanitization config (same key) within a batching window share
-/// one run. The first arrival becomes the batch leader — it waits
-/// `window_seconds` for followers, closes the batch, executes the run once,
-/// and the result fans out to every member. Publisher::Publish is const and
+/// corpus + sanitization config (same key) share one run. The first
+/// arrival for a key becomes the leader and starts the run at once; the
+/// run stays listed under its key until it completes, so a same-key
+/// request arriving mid-run joins it and shares its result. No request
+/// ever waits for a batch to fill. Publisher::Publish is const and
 /// deterministic for equal configs, which is what makes sharing sound; ε
 /// accounting stays per-request (every member's tenant is charged by the
 /// caller before joining), so coalescing saves compute, never privacy
 /// budget.
 class BatchCoalescer {
  public:
+  /// Ignored. The coalescer once held each batch open for a window; it no
+  /// longer waits, but callers that pass a window still compile. Delete
+  /// it with its last caller.
   struct Options {
-    /// How long a leader holds the batch open for followers. Small on
-    /// purpose: it bounds the latency cost of coalescing at one window.
-    double window_seconds = 0.005;
+    double window_seconds = 0.0;
   };
 
   using Runner = std::function<Result<core::PublishOutput>()>;
@@ -45,20 +47,18 @@ class BatchCoalescer {
     std::string leader_request_id;
   };
 
-  explicit BatchCoalescer(Options options) : options_(options) {}
+  BatchCoalescer() = default;
+  explicit BatchCoalescer(Options /*ignored*/) {}
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  /// Joins the open batch for `key`, or leads a new one. Blocks until the
-  /// batch's run has completed and returns its (shared) result. When
+  /// Joins the run in flight for `key`, or leads a new one. Blocks until
+  /// that run has completed and returns its (shared) result. When
   /// `context` is non-null its stage timeline is annotated: the leader
-  /// records serve.coalesce.wait (its window) and serve.publish (the run);
-  /// a waiter records serve.coalesce.wait for its whole wait.
+  /// records serve.coalesce.wait (the time to claim the key) and
+  /// serve.publish (the run); a waiter records serve.coalesce.wait for its
+  /// whole wait.
   Outcome Run(const std::string& key, RequestContext* context, const Runner& runner);
-
-  /// Wakes every leader still holding its window open so shutdown does not
-  /// wait out pending windows. In-flight runs still complete.
-  void Shutdown();
 
   uint64_t batches_run() const { return batches_run_.load(std::memory_order_relaxed); }
   uint64_t followers_served() const { return followers_served_.load(std::memory_order_relaxed); }
@@ -67,21 +67,20 @@ class BatchCoalescer {
   struct Batch {
     std::mutex mutex;
     std::condition_variable cv;
-    bool open = true;   ///< still accepting followers (leader in its window)
-    bool done = false;  ///< result is populated
+    bool done = false;  ///< result is populated; guarded by `mutex`
+    /// Counted under the coalescer's mutex_ while the batch is listed;
+    /// final once the leader un-lists it, which happens before `done`.
     size_t members = 1;
-    /// Set by the leader before the batch is published in open_batches_
-    /// (so the registry lock orders it before any follower's read).
+    /// Set by the leader before the batch is listed in running_ (so the
+    /// registry lock orders it before any follower's read).
     std::string leader_request_id;
     Result<core::PublishOutput> result = Status::Internal("batch pending");
   };
 
-  Options options_;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> batches_run_{0};
   std::atomic<uint64_t> followers_served_{0};
   std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Batch>> open_batches_;
+  std::map<std::string, std::shared_ptr<Batch>> running_;
 };
 
 }  // namespace ppdp::serve

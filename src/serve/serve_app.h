@@ -35,7 +35,6 @@ struct ServeOptions {
   double tenant_budget = 4.0;  ///< ε budget per tenant ledger
   size_t max_tenants = 64;
   int max_pending = 64;        ///< admission queue bound (429 beyond)
-  double coalesce_window_seconds = 0.005;
   double drain_timeout_seconds = 10.0;
   /// Path of the privacy-ledger write-ahead log (--ledger_wal). Empty =
   /// in-memory ledgers only: a restart forgets all spent ε.
@@ -73,8 +72,8 @@ struct ServeOptions {
 ///
 ///   POST /v1/publish       one publisher run; body names tenant, kind
 ///                          ("social" | "tradeoff" | "genome"), epsilon and
-///                          a sanitization config. Identical (kind, config)
-///                          requests inside the coalescing window share one
+///                          a sanitization config. A request whose (kind,
+///                          config) run is already in flight joins that
 ///                          run; every request's tenant is charged its own
 ///                          ε first (budget-once, per request).
 ///   POST /v1/audit         a tenant's ledger snapshot + audit entries.

@@ -2,6 +2,7 @@
 
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/flags.h"
@@ -164,6 +165,10 @@ TEST_F(ObsTest, RegistrySnapshotListsEveryMetric) {
   EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
 }
 
+// An event owns no heap memory: the recorder's capped buffer costs
+// kMaxEvents * sizeof(TraceEvent) bytes however long the span names are.
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+
 TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
@@ -174,7 +179,7 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
       TraceSpan inner("obs_test.inner");
       // Do a little real work so the inner duration is non-trivial.
       volatile double sink = 0.0;
-      for (int i = 0; i < 50000; ++i) sink += static_cast<double>(i) * 1e-9;
+      for (int i = 0; i < 50000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
       EXPECT_GE(inner.ElapsedSeconds(), 0.0);
     }
     EXPECT_GE(outer.ElapsedSeconds(), 0.0);
@@ -185,8 +190,11 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   // Inner destructs first, so it is recorded first.
   const TraceEvent& inner = events[0];
   const TraceEvent& outer = events[1];
-  EXPECT_EQ(inner.name, "obs_test.inner");
-  EXPECT_EQ(outer.name, "obs_test.outer");
+  // Events carry the interned id, which resolves to the span's name.
+  EXPECT_EQ(SpanNameForId(inner.name_id), "obs_test.inner");
+  EXPECT_EQ(SpanNameForId(outer.name_id), "obs_test.outer");
+  EXPECT_EQ(inner.name_id, InternSpanName("obs_test.inner"));
+  EXPECT_NE(inner.name_id, outer.name_id);
   // The inner span starts no earlier and ends no later than the outer one.
   EXPECT_GE(inner.start_us, outer.start_us);
   EXPECT_LE(inner.start_us + inner.duration_us, outer.start_us + outer.duration_us + 1e-3);

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <map>
 #include <optional>
 #include <set>
@@ -37,6 +39,18 @@ ServeOptions FastOptions() {
   options.seed = 11;
   options.threads = 2;
   return options;
+}
+
+/// A fault plan that makes every publish run sleep first, which holds a
+/// coalescer run in flight while concurrent same-key requests join it.
+/// Seed 5's first serve.publish draw is 0.92 of the bound: ~550 ms.
+fault::FaultPlan ParkPublishRuns() {
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.rate = 0.0;
+  plan.point_rates["serve.publish"] = 1.0;
+  plan.max_delay_ms = 600.0;
+  return plan;
 }
 
 JsonValue PublishBody(const std::string& tenant, double epsilon,
@@ -99,26 +113,48 @@ TEST(AdmissionControllerTest, BoundsPendingAndReportsPressure) {
   EXPECT_EQ(admission.admitted(), 3u);
 }
 
-TEST(BatchCoalescerTest, IdenticalKeysShareOneRun) {
-  BatchCoalescer coalescer({.window_seconds = 0.1});
+/// A coalescer runner that counts its runs, announces the first start,
+/// and then blocks until the test releases it — the way to hold a run in
+/// flight while other requests arrive.
+struct LatchedRunner {
   std::atomic<int> runs{0};
-  auto runner = [&runs]() -> Result<core::PublishOutput> {
-    runs.fetch_add(1);
-    core::PublishOutput output;
-    output.kind = "test";
-    output.privacy_after = 0.5;
-    return output;
-  };
+  std::latch started{1};
+  std::latch release{1};
+
+  BatchCoalescer::Runner Runner() {
+    return [this]() -> Result<core::PublishOutput> {
+      if (runs.fetch_add(1) == 0) started.count_down();
+      release.wait();
+      core::PublishOutput output;
+      output.kind = "test";
+      output.privacy_after = 0.5;
+      return output;
+    };
+  }
+};
+
+TEST(BatchCoalescerTest, IdenticalKeysShareOneRun) {
+  BatchCoalescer coalescer;
+  LatchedRunner latched;
+  const BatchCoalescer::Runner runner = latched.Runner();
 
   constexpr int kThreads = 6;
   std::vector<std::optional<BatchCoalescer::Outcome>> outcomes(kThreads);
   std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] { outcomes[static_cast<size_t>(i)] = coalescer.Run("k", nullptr, runner); });
+  threads.emplace_back([&] { outcomes[0] = coalescer.Run("k", nullptr, runner); });
+  latched.started.wait();
+  // The run is in flight and blocked: every same-key arrival joins it.
+  for (int i = 1; i < kThreads; ++i) {
+    threads.emplace_back(
+        [&, i] { outcomes[static_cast<size_t>(i)] = coalescer.Run("k", nullptr, runner); });
   }
+  for (int i = 0; i < 10000 && coalescer.followers_served() < kThreads - 1u; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  latched.release.count_down();
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(latched.runs.load(), 1);
   int leaders = 0;
   for (const auto& maybe_outcome : outcomes) {
     ASSERT_TRUE(maybe_outcome.has_value());
@@ -129,14 +165,60 @@ TEST(BatchCoalescerTest, IdenticalKeysShareOneRun) {
     leaders += outcome.leader ? 1 : 0;
   }
   EXPECT_EQ(leaders, 1);
+  EXPECT_TRUE(outcomes[0]->leader);
   EXPECT_EQ(coalescer.batches_run(), 1u);
   EXPECT_EQ(coalescer.followers_served(), static_cast<uint64_t>(kThreads - 1));
+}
 
-  // Different keys never share.
-  auto other = coalescer.Run("other", nullptr, runner);
-  ASSERT_TRUE(other.result.ok());
-  EXPECT_TRUE(other.leader);
+TEST(BatchCoalescerTest, ArrivalAfterTheRunCompletesStartsAFreshRun) {
+  BatchCoalescer coalescer;
+  std::atomic<int> runs{0};
+  auto runner = [&runs]() -> Result<core::PublishOutput> {
+    runs.fetch_add(1);
+    return core::PublishOutput{};
+  };
+  // No window: a lone request runs at once, and the finished run is
+  // un-listed, so the next same-key request leads a run of its own.
+  BatchCoalescer::Outcome first = coalescer.Run("k", nullptr, runner);
+  BatchCoalescer::Outcome second = coalescer.Run("k", nullptr, runner);
+  EXPECT_TRUE(first.leader);
+  EXPECT_TRUE(second.leader);
+  EXPECT_EQ(first.batch_size, 1u);
+  EXPECT_EQ(second.batch_size, 1u);
   EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(coalescer.batches_run(), 2u);
+  EXPECT_EQ(coalescer.followers_served(), 0u);
+}
+
+TEST(BatchCoalescerTest, DifferentKeysNeverShareARun) {
+  BatchCoalescer coalescer;
+  LatchedRunner latched;
+  std::optional<BatchCoalescer::Outcome> held;
+  std::thread holder([&] { held = coalescer.Run("a", nullptr, latched.Runner()); });
+  latched.started.wait();
+  // While "a" is in flight, "b" leads and completes its own run.
+  std::atomic<int> other_runs{0};
+  std::future<BatchCoalescer::Outcome> other = std::async(std::launch::async, [&] {
+    return coalescer.Run("b", nullptr, [&other_runs]() -> Result<core::PublishOutput> {
+      other_runs.fetch_add(1);
+      return core::PublishOutput{};
+    });
+  });
+  const bool b_finished_first =
+      other.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  latched.release.count_down();
+  holder.join();
+  EXPECT_TRUE(b_finished_first) << "key b waited on key a's run";
+  const BatchCoalescer::Outcome b = other.get();
+  EXPECT_TRUE(b.leader);
+  EXPECT_EQ(b.batch_size, 1u);
+  EXPECT_EQ(other_runs.load(), 1);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_TRUE(held->leader);
+  EXPECT_EQ(held->batch_size, 1u);
+  EXPECT_EQ(latched.runs.load(), 1);
+  EXPECT_EQ(coalescer.batches_run(), 2u);
+  EXPECT_EQ(coalescer.followers_served(), 0u);
 }
 
 TEST(ServeAppTest, ConcurrentTenantsAreChargedExactlyOnceEach) {
@@ -185,7 +267,8 @@ TEST(ServeAppTest, ConcurrentTenantsAreChargedExactlyOnceEach) {
 TEST(ServeAppTest, CoalescedPublishFansOutOneRunButChargesEveryTenant) {
   ServeOptions options = FastOptions();
   options.tenant_budget = 10.0;
-  options.coalesce_window_seconds = 0.25;  // wide window: all requests join one batch
+  // The parked run stays in flight while every request joins it.
+  fault::ScopedFaultPlan parked(ParkPublishRuns());
   auto app = ServeApp::Create(options);
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
@@ -303,8 +386,8 @@ TEST(ServeAppTest, FullAdmissionQueueGets429AndDegradesHealth) {
 
 TEST(ServeAppTest, StopDrainsInFlightRequestsThenRefusesNewOnes) {
   ServeOptions options = FastOptions();
-  // A long window keeps the publish in flight until Stop short-circuits it.
-  options.coalesce_window_seconds = 5.0;
+  // A parked run keeps the publish in flight while Stop begins draining.
+  fault::ScopedFaultPlan parked(ParkPublishRuns());
   auto app = ServeApp::Create(options);
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
@@ -315,14 +398,14 @@ TEST(ServeAppTest, StopDrainsInFlightRequestsThenRefusesNewOnes) {
     auto response = PostJson(port, "/v1/publish", PublishBody("drainer", 0.5), /*timeout=*/20.0);
     inflight_status.store(response.ok() ? response->status : -2);
   });
-  // Wait until the request is actually in flight (leader parked in its
-  // batching window).
+  // Wait until the request is actually in flight (its run parked by the
+  // fault delay).
   for (int i = 0; i < 1000 && (*app)->inflight() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_GT((*app)->inflight(), 0u);
 
-  (*app)->Stop();  // must cut the window short, not wait out 5 s
+  (*app)->Stop();  // drains: the parked publish still completes
   client.join();
   EXPECT_EQ(inflight_status.load(), 200);
   EXPECT_TRUE((*app)->draining());
@@ -911,7 +994,7 @@ TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
   const std::string log_path = TempAccessLogPath("coalesce");
   ServeOptions options = FastOptions();
   options.access_log = log_path;
-  options.coalesce_window_seconds = 0.25;
+  fault::ScopedFaultPlan parked(ParkPublishRuns());
   auto app = ServeApp::Create(options);
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
@@ -938,7 +1021,7 @@ TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
     if (role == "leader") {
       EXPECT_TRUE(leader_id.empty()) << "one batch has exactly one leader";
       leader_id = record.GetStringOr("request_id", "");
-      // The leader waited out the window and ran the publish itself.
+      // The leader claimed the key and ran the publish itself.
       const JsonValue* stages = record.Find("stages");
       ASSERT_NE(stages, nullptr);
       EXPECT_TRUE(stages->Has("serve.coalesce.wait"));
