@@ -35,7 +35,8 @@ namespace ppdp::bench {
 ///   --out DIR       (default "bench_out")  CSV output directory
 ///   --log_level L   (default warn)  debug|info|warn|error|off
 ///   --log_json      (off by default)  one JSON object per log record
-///   --trace_out F   (off by default)  write a Chrome trace_event JSON
+///   --trace_out F   (off by default)  write a Chrome trace_event JSON; only
+///                   then are raw span events kept (the first 2^18)
 ///   --threads N     (default 0)    execution width: 0 = hardware
 ///                   concurrency, 1 = exact serial fallback
 ///   --report_out F  (default <out>/BENCH_<name>.json; "off" disables)
@@ -84,6 +85,7 @@ struct BenchEnv {
     scale = flags.GetDouble("scale", default_scale);
     out_dir = flags.GetString("out", "bench_out");
     trace_out = flags.GetString("trace_out", "");
+    if (!trace_out.empty()) obs::TraceRecorder::Global().SetCollectEvents(true);
     threads = static_cast<int>(flags.GetInt("threads", 0));
     Status pool_status = exec::ThreadPool::SetGlobalThreads(threads);
     if (!pool_status.ok()) {
@@ -191,6 +193,11 @@ struct BenchEnv {
       Status status = obs::TraceRecorder::Global().WriteChromeTrace(trace_out);
       if (status.ok()) {
         std::cout << "(trace: " << trace_out << ")\n";
+        size_t dropped = obs::TraceRecorder::Global().num_dropped();
+        if (dropped > 0) {
+          std::cout << "(trace file full: " << dropped << " spans not written to " << trace_out
+                    << ")\n";
+        }
       } else {
         std::cout << "(trace write failed: " << status.ToString() << ")\n";
       }
@@ -289,10 +296,6 @@ struct BenchEnv {
     Table phases = obs::TraceRecorder::Global().PhaseSummary();
     if (phases.num_rows() == 0) return;
     Emit(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
-    size_t dropped = obs::TraceRecorder::Global().num_dropped();
-    if (dropped > 0) {
-      std::cout << "(trace buffer full: " << dropped << " spans not recorded)\n";
-    }
   }
 
   /// Stops the sampling profiler and writes the ppdp.profile.v1 JSON plus

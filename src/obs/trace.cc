@@ -4,8 +4,8 @@
 #include <atomic>
 #include <ctime>
 #include <fstream>
-#include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/log.h"
 #include "obs/profiler.h"
@@ -35,8 +35,9 @@ struct SpanNameTable {
 };
 
 /// Fixed-depth per-thread stack of interned span ids. The owning thread
-/// pushes/pops; its own SIGPROF handler reads the top. Atomics are ordered
-/// so the handler never reads a slot before the id was stored. Trivially
+/// pushes/pops; its own SIGPROF handler reads the top, and ActiveSpanStacks
+/// reads it from other threads. Atomics are ordered so no reader sees a
+/// depth before the id below it was stored. Trivially
 /// destructible (plain atomics) so no TLS destructor can race a late
 /// signal.
 constexpr uint32_t kMaxSignalSpanDepth = 64;
@@ -46,32 +47,31 @@ struct TlsSpanStack {
 };
 thread_local TlsSpanStack t_span_stack;
 
-/// Registry of open-span stacks keyed by thread ordinal. Spans push/pop
-/// their own thread's stack (strict LIFO by RAII), readers snapshot the
-/// whole map; both sides take one short-lived mutex, which is cheap at span
-/// granularity (spans mark phases, not per-item work).
-struct ActiveSpanRegistry {
+/// Threads whose outermost span is open, with their id stacks. A thread
+/// registers when its depth goes 0 -> 1 and unregisters at 1 -> 0; since a
+/// thread cannot exit with a span open, a listed stack's TLS stays alive
+/// while a reader holds the mutex.
+struct OpenStackRegistry {
   std::mutex mutex;
-  std::map<uint32_t, std::vector<std::string>> stacks;
+  std::vector<std::pair<uint32_t, const TlsSpanStack*>> threads;
 
-  static ActiveSpanRegistry& Global() {
-    static ActiveSpanRegistry* registry = new ActiveSpanRegistry();  // intentionally leaked
+  static OpenStackRegistry& Global() {
+    static OpenStackRegistry* registry = new OpenStackRegistry();  // intentionally leaked
     return *registry;
   }
-
-  void Push(uint32_t thread, std::string name) {
-    std::lock_guard<std::mutex> lock(mutex);
-    stacks[thread].push_back(std::move(name));
-  }
-
-  void Pop(uint32_t thread) {
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = stacks.find(thread);
-    if (it == stacks.end() || it->second.empty()) return;
-    it->second.pop_back();
-    if (it->second.empty()) stacks.erase(it);
-  }
 };
+
+void ListThisThread(bool listed) {
+  OpenStackRegistry& registry = OpenStackRegistry::Global();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  const std::pair<uint32_t, const TlsSpanStack*> entry(ThisThreadOrdinal(), &t_span_stack);
+  auto& threads = registry.threads;
+  if (listed) {
+    threads.push_back(entry);
+  } else {
+    threads.erase(std::find(threads.begin(), threads.end(), entry));
+  }
+}
 
 }  // namespace
 
@@ -104,13 +104,20 @@ uint32_t CurrentThreadSpanId() {
 void TouchSpanTls() { t_span_stack.depth.load(std::memory_order_relaxed); }
 
 std::vector<ActiveSpanStack> ActiveSpanStacks() {
-  ActiveSpanRegistry& registry = ActiveSpanRegistry::Global();
-  std::lock_guard<std::mutex> lock(registry.mutex);
   std::vector<ActiveSpanStack> stacks;
-  stacks.reserve(registry.stacks.size());
-  for (const auto& [thread, spans] : registry.stacks) {
-    stacks.push_back(ActiveSpanStack{thread, spans});
+  {
+    OpenStackRegistry& registry = OpenStackRegistry::Global();
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    for (const auto& [thread, stack] : registry.threads) {
+      uint32_t depth = std::min(stack->depth.load(std::memory_order_acquire), kMaxSignalSpanDepth);
+      std::vector<std::string>& spans = stacks.emplace_back(ActiveSpanStack{thread, {}}).spans;
+      for (uint32_t i = 0; i < depth; ++i) {
+        spans.push_back(SpanNameForId(stack->ids[i].load(std::memory_order_relaxed)));
+      }
+    }
   }
+  std::sort(stacks.begin(), stacks.end(),
+            [](const ActiveSpanStack& a, const ActiveSpanStack& b) { return a.thread < b.thread; });
   return stacks;
 }
 
@@ -129,29 +136,29 @@ TraceRecorder& TraceRecorder::Global() {
   return *recorder;
 }
 
-void TraceRecorder::SetEnabled(bool enabled) {
+void TraceRecorder::SetCollectEvents(bool collect) {
   std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-bool TraceRecorder::enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
+  collect_events_ = collect;
 }
 
 void TraceRecorder::Record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return;
+  if (event.name_id >= phases_.size()) phases_.resize(event.name_id + 1);
+  PhaseStats& phase = phases_[event.name_id];
+  const double wall_ms = event.duration_us / 1e3;
+  if (phase.count == 0 || wall_ms < phase.wall_ms_min) phase.wall_ms_min = wall_ms;
+  if (phase.count == 0 || wall_ms > phase.wall_ms_max) phase.wall_ms_max = wall_ms;
+  phase.wall_ms_total += wall_ms;
+  phase.cpu_ms_total += event.cpu_us / 1e3;
+  phase.alloc_bytes_total += event.alloc_bytes;
+  phase.rss_peak_bytes = std::max(phase.rss_peak_bytes, event.rss_bytes);
+  ++phase.count;
+  if (!collect_events_) return;
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;
   }
   events_.push_back(event);
-}
-
-size_t TraceRecorder::num_events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
 }
 
 size_t TraceRecorder::num_dropped() const {
@@ -166,50 +173,23 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 
 void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  phases_.clear();
   events_.clear();
   dropped_ = 0;
 }
 
 std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
-  struct Agg {
-    size_t count = 0;
-    double total_us = 0.0;
-    double min_us = 0.0;
-    double max_us = 0.0;
-    double cpu_us = 0.0;
-    uint64_t alloc_bytes = 0;
-    uint64_t rss_peak = 0;
-  };
-  std::map<uint32_t, Agg> by_id;
+  std::vector<PhaseStats> phases;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const TraceEvent& e : events_) {
-      Agg& agg = by_id[e.name_id];
-      if (agg.count == 0 || e.duration_us < agg.min_us) agg.min_us = e.duration_us;
-      if (agg.count == 0 || e.duration_us > agg.max_us) agg.max_us = e.duration_us;
-      agg.total_us += e.duration_us;
-      agg.cpu_us += e.cpu_us;
-      agg.alloc_bytes += e.alloc_bytes;
-      if (e.rss_bytes > agg.rss_peak) agg.rss_peak = e.rss_bytes;
-      ++agg.count;
-    }
+    phases = phases_;
   }
-  std::map<std::string, Agg> phases;
-  for (const auto& [id, agg] : by_id) phases.emplace(SpanNameForId(id), agg);
   std::vector<PhaseStats> stats;
-  stats.reserve(phases.size());
-  for (const auto& [name, agg] : phases) {
-    PhaseStats row;
-    row.name = name;
-    row.count = agg.count;
-    row.wall_ms_total = agg.total_us / 1e3;
-    row.wall_ms_mean = agg.total_us / static_cast<double>(agg.count) / 1e3;
-    row.wall_ms_min = agg.min_us / 1e3;
-    row.wall_ms_max = agg.max_us / 1e3;
-    row.cpu_ms_total = agg.cpu_us / 1e3;
-    row.alloc_bytes_total = agg.alloc_bytes;
-    row.rss_peak_bytes = agg.rss_peak;
-    stats.push_back(std::move(row));
+  for (uint32_t id = 0; id < phases.size(); ++id) {
+    if (phases[id].count == 0) continue;
+    PhaseStats& row = stats.emplace_back(std::move(phases[id]));
+    row.name = SpanNameForId(id);
+    row.wall_ms_mean = row.wall_ms_total / static_cast<double>(row.count);
   }
   std::sort(stats.begin(), stats.end(), [](const PhaseStats& a, const PhaseStats& b) {
     return a.wall_ms_total != b.wall_ms_total ? a.wall_ms_total > b.wall_ms_total
@@ -266,15 +246,15 @@ TraceSpan::TraceSpan(std::string name)
     t_span_stack.ids[depth].store(name_id_, std::memory_order_relaxed);
   }
   t_span_stack.depth.store(depth + 1, std::memory_order_release);
-  ActiveSpanRegistry::Global().Push(ThisThreadOrdinal(), std::move(name));
+  if (depth == 0) ListThisThread(true);  // listed only once its depth reads >= 1
 }
 
 double TraceSpan::ElapsedSeconds() const { return MonotonicSeconds() - start_us_ / 1e6; }
 
 TraceSpan::~TraceSpan() {
   uint32_t depth = t_span_stack.depth.load(std::memory_order_relaxed);
+  if (depth == 1) ListThisThread(false);  // unlisted before its depth reads 0
   if (depth > 0) t_span_stack.depth.store(depth - 1, std::memory_order_release);
-  ActiveSpanRegistry::Global().Pop(ThisThreadOrdinal());
   TraceEvent event;
   event.name_id = name_id_;
   event.thread = ThisThreadOrdinal();

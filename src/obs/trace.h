@@ -58,21 +58,26 @@ void TouchSpanTls();
 double ThreadCpuSeconds();
 
 /// The stack of TraceSpans currently open on one thread, outermost first —
-/// what /statusz shows as "where is every thread right now".
+/// what /statusz shows as "where is every thread right now". At most 64
+/// frames (the depth of the per-thread id stack); deeper spans are timed
+/// and recorded but not listed.
 struct ActiveSpanStack {
   uint32_t thread = 0;  ///< the same per-process ordinal TraceEvent carries
   std::vector<std::string> spans;
 };
 
 /// Live snapshot of every thread's open-span stack (threads with no open
-/// span are omitted). Sorted by thread ordinal. Safe to call from any
-/// thread at any time — the telemetry server polls it mid-run.
+/// span are omitted), read from the same per-thread id stacks the profiler
+/// uses. Sorted by thread ordinal. Safe to call from any thread at any
+/// time — the telemetry server polls it mid-run.
 std::vector<ActiveSpanStack> ActiveSpanStacks();
 
-/// Process-wide collector of completed TraceSpans. Always on by default;
-/// recording is one mutex-guarded vector push, and the event count is
-/// capped (drops are counted) so pathological span rates cannot exhaust
-/// memory.
+/// Process-wide collector of completed TraceSpans. Always on: each closing
+/// span folds into one aggregate per span name (count, wall, cpu, alloc,
+/// RSS peak) under one mutex, so phase tables are exact however many spans
+/// close and cost memory per name, not per span. Raw events are kept only
+/// while SetCollectEvents(true) is on (a --trace_out run), for the Chrome
+/// trace; that log is capped at kMaxEvents and counts what it drops.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
@@ -81,13 +86,15 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  void SetEnabled(bool enabled);
-  bool enabled() const;
+  /// Turns the raw event log (for WriteChromeTrace) on or off. Phase
+  /// aggregates are kept either way.
+  void SetCollectEvents(bool collect);
 
   void Record(const TraceEvent& event);
-  size_t num_events() const;
+  /// Events the capped log could not keep (0 unless collecting).
   size_t num_dropped() const;
   std::vector<TraceEvent> events() const;
+  /// Forgets every phase aggregate and event; collection stays as set.
   void Clear();
 
   /// Wall+CPU aggregate by span name: phase, count, total ms, mean ms,
@@ -103,13 +110,13 @@ class TraceRecorder {
     double wall_ms_min = 0.0;
     double wall_ms_max = 0.0;
     double cpu_ms_total = 0.0;
-    uint64_t alloc_bytes_total = 0;  ///< operator-new bytes across all events
-    uint64_t rss_peak_bytes = 0;     ///< max RSS sampled at any event's close
+    uint64_t alloc_bytes_total = 0;  ///< operator-new bytes across all spans
+    uint64_t rss_peak_bytes = 0;     ///< max RSS sampled at any span's close
   };
   std::vector<PhaseStats> PhaseStatsSorted() const;
 
-  /// Writes the Chrome trace_event JSON format ("X" complete events; load
-  /// via chrome://tracing or https://ui.perfetto.dev).
+  /// Writes the collected events as Chrome trace_event JSON ("X" complete
+  /// events; load via chrome://tracing or https://ui.perfetto.dev).
   Status WriteChromeTrace(const std::string& path) const;
 
   /// Maximum retained events before new ones are dropped.
@@ -117,7 +124,10 @@ class TraceRecorder {
 
  private:
   mutable std::mutex mutex_;
-  bool enabled_ = true;
+  /// Running totals indexed by interned name id; name and mean are filled
+  /// in by PhaseStatsSorted.
+  std::vector<PhaseStats> phases_;
+  bool collect_events_ = false;
   std::vector<TraceEvent> events_;
   size_t dropped_ = 0;
 };
@@ -125,7 +135,7 @@ class TraceRecorder {
 /// RAII scoped timer: measures the enclosed scope on the monotonic clock
 /// and records a TraceEvent on destruction. Nestable (inner spans simply
 /// record their own shorter intervals) and thread-safe (each span is local;
-/// the recorder synchronizes).
+/// the recorder synchronizes). A span closes on the thread that opened it.
 ///
 ///   { TraceSpan span("synth.fit.structure"); ... }
 class TraceSpan {
@@ -137,6 +147,9 @@ class TraceSpan {
 
   /// Seconds elapsed since construction.
   double ElapsedSeconds() const;
+
+  /// The span's interned name id (see InternSpanName).
+  uint32_t name_id() const { return name_id_; }
 
  private:
   uint32_t name_id_;

@@ -14,6 +14,9 @@ namespace ppdp::serve {
 
 namespace {
 
+/// The access log rotates to `<path>.1` at this size.
+constexpr uint64_t kAccessLogMaxBytes = 64 * 1024 * 1024;
+
 bool IsLowerHex(char c) { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'); }
 
 bool AllLowerHex(std::string_view s) {
@@ -243,7 +246,7 @@ StageTimer::StageTimer(RequestContext* context, std::string stage)
     : context_(context), stage_(std::move(stage)) {
   span_.emplace(stage_);
   if (context_ != nullptr) {
-    context_->current_stage.store(obs::InternSpanName(stage_), std::memory_order_release);
+    context_->current_stage.store(span_->name_id(), std::memory_order_release);
   }
 }
 
@@ -323,9 +326,7 @@ JsonValue RequestTracker::ToJson(const std::string& tenant, double min_ms) const
 Status RequestObserver::Configure(const RequestObsOptions& options) {
   options_ = options;
   if (!options.access_log.empty()) {
-    const double max_mb = options.access_log_max_mb > 0 ? options.access_log_max_mb : 64.0;
-    PPDP_RETURN_IF_ERROR(
-        log_.Open(options.access_log, static_cast<uint64_t>(max_mb * 1024.0 * 1024.0)));
+    PPDP_RETURN_IF_ERROR(log_.Open(options.access_log, kAccessLogMaxBytes));
   }
   return Status::Ok();
 }

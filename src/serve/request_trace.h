@@ -182,9 +182,8 @@ class RequestTracker {
 
 /// Observability knobs the ppdp_serve flags map onto.
 struct RequestObsOptions {
-  std::string access_log;          ///< empty = no access log
-  double access_log_max_mb = 64.0; ///< rotation threshold
-  double slow_request_ms = 0.0;    ///< > 0 captures slow requests in FlightRecorder
+  std::string access_log;        ///< empty = no access log; rotates at 64 MB
+  double slow_request_ms = 0.0;  ///< > 0 captures slow requests in FlightRecorder
 };
 
 /// The per-app bundle the serving lifecycle talks to: tracker + access log

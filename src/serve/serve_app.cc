@@ -129,7 +129,6 @@ ServeApp::ServeApp(const ServeOptions& options, std::vector<int64_t> degrees,
   obs::TelemetryServer::Options server_options;
   server_options.port = options_.port;
   server_options.max_connections = options_.http_max_conns;
-  server_options.max_request_body_bytes = options_.max_request_body_bytes;
   server_options.seed = options_.seed;
   server_options.threads = options_.threads;
   server_options.flags["graph_scale"] = std::to_string(options_.graph_scale);
@@ -227,7 +226,6 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
 
   RequestObsOptions obs_options;
   obs_options.access_log = options.access_log;
-  obs_options.access_log_max_mb = options.access_log_max_mb;
   obs_options.slow_request_ms = options.slow_request_ms;
   PPDP_RETURN_IF_ERROR(app->observer_.Configure(obs_options));
 

@@ -27,7 +27,6 @@ namespace ppdp::serve {
 struct ServeOptions {
   int port = 0;                ///< 0 = ephemeral
   int http_max_conns = 32;     ///< concurrent connection cap (--http_max_conns)
-  size_t max_request_body_bytes = 1 << 20;
   double graph_scale = 0.25;   ///< Caltech-like corpus scale loaded at startup
   size_t genome_snps = 300;    ///< synthetic GWAS catalog width
   uint64_t seed = 7;
@@ -46,10 +45,9 @@ struct ServeOptions {
   /// deadline expires while queued for admission gets 504 instead of
   /// wedging its connection thread.
   double request_deadline_seconds = 30.0;
-  /// JSONL access log path (--access_log). Empty = no access log.
+  /// JSONL access log path (--access_log); rotates at 64 MB. Empty = no
+  /// access log.
   std::string access_log;
-  /// Access-log size rotation threshold (--access_log_max_mb).
-  double access_log_max_mb = 64.0;
   /// Requests at or above this wall time are captured in the FlightRecorder
   /// ring (--slow_request_ms). 0 = slow capture off (non-2xx capture is
   /// always on).

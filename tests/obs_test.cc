@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -165,13 +166,14 @@ TEST_F(ObsTest, RegistrySnapshotListsEveryMetric) {
   EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
 }
 
-// An event owns no heap memory: the recorder's capped buffer costs
-// kMaxEvents * sizeof(TraceEvent) bytes however long the span names are.
+// An event owns no heap memory: the capped Chrome-trace event log costs at
+// most kMaxEvents * sizeof(TraceEvent) bytes however long the span names are.
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
+  recorder.SetCollectEvents(true);
 
   {
     TraceSpan outer("obs_test.outer");
@@ -186,6 +188,7 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   }
 
   auto events = recorder.events();
+  recorder.SetCollectEvents(false);
   ASSERT_EQ(events.size(), 2u);
   // Inner destructs first, so it is recorded first.
   const TraceEvent& inner = events[0];
@@ -205,16 +208,65 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   recorder.Clear();
 }
 
-TEST_F(ObsTest, TraceRecorderDisableDropsSpans) {
+/// The PhaseStatsSorted row for `name` (count 0 when absent).
+TraceRecorder::PhaseStats PhaseNamed(const std::string& name) {
+  for (const TraceRecorder::PhaseStats& phase : TraceRecorder::Global().PhaseStatsSorted()) {
+    if (phase.name == name) return phase;
+  }
+  return {};
+}
+
+TEST_F(ObsTest, SpanWithoutEventCollectionCountsOnlyInPhases) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
-  recorder.SetEnabled(false);
-  { TraceSpan span("obs_test.disabled"); }
-  EXPECT_EQ(recorder.num_events(), 0u);
-  recorder.SetEnabled(true);
-  { TraceSpan span("obs_test.enabled"); }
-  EXPECT_EQ(recorder.num_events(), 1u);
+  { TraceSpan span("obs_test.uncollected"); }
+  EXPECT_EQ(PhaseNamed("obs_test.uncollected").count, 1u);
+  EXPECT_TRUE(recorder.events().empty());
   recorder.Clear();
+}
+
+TEST_F(ObsTest, PhaseTotalsStayExactPastTheEventCap) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.SetCollectEvents(true);
+  for (size_t i = 0; i < TraceRecorder::kMaxEvents + 1; ++i) TraceSpan span("obs_test.many");
+  recorder.SetCollectEvents(false);
+  EXPECT_EQ(PhaseNamed("obs_test.many").count, TraceRecorder::kMaxEvents + 1);
+  EXPECT_EQ(recorder.events().size(), TraceRecorder::kMaxEvents);
+  EXPECT_EQ(recorder.num_dropped(), 1u);
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, ActiveSpanStacksListAnotherThreadWhileItsSpansAreOpen) {
+  auto listed = [](const std::vector<std::string>& spans) {
+    for (const ActiveSpanStack& stack : ActiveSpanStacks()) {
+      if (stack.spans == spans) return true;
+    }
+    return false;
+  };
+  auto wait_for = [](const std::atomic<int>& step, int value) {
+    while (step.load() != value) std::this_thread::yield();
+  };
+  std::atomic<int> step{0};
+  std::thread worker([&] {
+    {
+      TraceSpan outer("obs_test.stack.outer");
+      TraceSpan inner("obs_test.stack.inner");
+      step = 1;
+      wait_for(step, 2);
+    }
+    step = 3;
+    wait_for(step, 4);
+  });
+  wait_for(step, 1);
+  EXPECT_TRUE(listed({"obs_test.stack.outer", "obs_test.stack.inner"}));
+  step = 2;
+  wait_for(step, 3);
+  for (const ActiveSpanStack& stack : ActiveSpanStacks()) {
+    for (const std::string& span : stack.spans) EXPECT_NE(span.rfind("obs_test.stack.", 0), 0u);
+  }
+  step = 4;
+  worker.join();
 }
 
 TEST_F(ObsTest, ParseLogLevelRejectsJunkAndBoundaryInputs) {
@@ -338,7 +390,7 @@ TEST_F(ObsTest, TraceSpansFromMultipleThreadsAllRecorded) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(recorder.num_events(), static_cast<size_t>(kThreads * kSpansPerThread));
+  EXPECT_EQ(PhaseNamed("obs_test.mt").count, static_cast<uint64_t>(kThreads * kSpansPerThread));
   recorder.Clear();
 }
 

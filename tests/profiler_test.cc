@@ -31,6 +31,10 @@ std::string TempPath(const std::string& name) { return ::testing::TempDir() + "/
 
 /// Burns roughly `cpu_seconds` of CPU time on the calling thread — the
 /// profiler samples per second of *CPU* time, so sleeps would yield nothing.
+/// Each outer pass makes one small heap allocation: ThreadSanitizer holds an
+/// asynchronous SIGPROF until the thread next enters a call it intercepts
+/// (malloc is one), so a loop without such a call would see almost no
+/// samples under TSan.
 uint64_t BurnCpu(double cpu_seconds) {
   ProcessCpu start = ReadProcessCpu();
   volatile uint64_t sink = 1;
@@ -38,6 +42,9 @@ uint64_t BurnCpu(double cpu_seconds) {
              start.user_seconds - start.system_seconds <
          cpu_seconds) {
     for (int i = 0; i < 100000; ++i) sink = sink * 2862933555777941757ULL + 3037000493ULL;
+    auto* volatile block = new uint64_t(sink);
+    sink = *block;
+    delete block;
   }
   return sink;
 }

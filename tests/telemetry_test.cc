@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -310,6 +311,30 @@ TEST(TelemetryServerTest, StatuszRoundTripsThroughCommonJson) {
   ASSERT_NE(pool, nullptr) << with_pool.Dump();
   EXPECT_GE(pool->GetNumberOr("executed", -1), 0.0);
   EXPECT_GE(pool->GetNumberOr("target_threads", 0), 1.0);
+}
+
+/// Opens `depth` nested spans named "statusz.deep.<level>" and runs `body`
+/// inside the innermost one.
+void WithNestedSpans(int depth, const std::function<void()>& body) {
+  if (depth == 0) return body();
+  TraceSpan span("statusz.deep." + std::to_string(depth));
+  WithNestedSpans(depth - 1, body);
+}
+
+TEST(TelemetryServerTest, StatuszListsAtMost64FramesPerThread) {
+  TelemetryServer server(TelemetryServer::Options{});
+  WithNestedSpans(70, [&] {
+    JsonValue doc = server.StatuszDocument();
+    const JsonValue* spans = doc.Find("active_spans");
+    ASSERT_NE(spans, nullptr);
+    ASSERT_EQ(spans->size(), 1u) << doc.Dump();
+    const JsonValue* names = spans->at(0).Find("spans");
+    ASSERT_NE(names, nullptr);
+    ASSERT_EQ(names->size(), 64u) << "deeper frames are not listed";
+    EXPECT_EQ(names->at(0).as_string(), "statusz.deep.70") << "outermost first";
+    EXPECT_EQ(names->at(63).as_string(), "statusz.deep.7");
+  });
+  EXPECT_EQ(server.StatuszDocument().Find("active_spans")->size(), 0u);
 }
 
 TEST(TelemetryServerTest, ServesOverRealSockets) {

@@ -9,7 +9,6 @@
 // Flags (all optional):
 //   --port N              bind port; 0 = ephemeral, printed at startup (0)
 //   --http_max_conns N    concurrent connection cap (32)
-//   --max_body_bytes N    413 threshold for request bodies (1048576)
 //   --graph_scale X       Caltech-like corpus scale (0.25)
 //   --genome_snps N       synthetic GWAS catalog width (300)
 //   --seed N              corpus + DP noise base seed (7)
@@ -25,8 +24,8 @@
 //   --request_deadline_s X  cap on client-declared "deadline_ms"; expired
 //                         requests get 504 (30)
 //   --access_log PATH     JSONL access log (ppdp.access.v1, one object per
-//                         request, per-stage micros); off when empty
-//   --access_log_max_mb X access-log size rotation threshold (64)
+//                         request, per-stage micros; rotates at 64 MB); off
+//                         when empty
 //   --slow_request_ms X   capture requests at/above this wall time in the
 //                         FlightRecorder ring; 0 = off (0)
 //   --slo_config PATH     ppdp.slo.v1 alert-rule config; empty = built-in
@@ -71,8 +70,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<int>(flags.GetInt("port", options.port));
   options.http_max_conns =
       static_cast<int>(flags.GetInt("http_max_conns", options.http_max_conns));
-  options.max_request_body_bytes = static_cast<size_t>(
-      flags.GetInt("max_body_bytes", static_cast<int64_t>(options.max_request_body_bytes)));
   options.graph_scale = flags.GetDouble("graph_scale", options.graph_scale);
   options.genome_snps =
       static_cast<size_t>(flags.GetInt("genome_snps", static_cast<int64_t>(options.genome_snps)));
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
   options.ledger_wal = flags.GetString("ledger_wal", "");
   options.request_deadline_seconds = flags.GetDouble("request_deadline_s", 30.0);
   options.access_log = flags.GetString("access_log", "");
-  options.access_log_max_mb = flags.GetDouble("access_log_max_mb", options.access_log_max_mb);
   options.slow_request_ms = flags.GetDouble("slow_request_ms", options.slow_request_ms);
   options.slo_config = flags.GetString("slo_config", "");
   options.alert_log = flags.GetString("alert_log", "");
