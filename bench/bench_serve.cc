@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
                 ppdp::Table::FormatDouble(wall, 3), ppdp::Table::FormatDouble(qps, 1),
                 ppdp::Table::FormatDouble(p50 * 1e3, 3), ppdp::Table::FormatDouble(p95 * 1e3, 3),
                 ppdp::Table::FormatDouble(p99 * 1e3, 3)});
-  env.Emit(table, "serve_throughput", "closed-loop serving throughput and client latency");
+  env.EmitTiming(table, "serve_throughput", "closed-loop serving throughput and client latency");
 
   // Live SLO attainment over the run's windows, straight from the daemon's
   // engine — the same rows /sloz would serve. Recorded into the report's
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
                       ppdp::Table::FormatDouble(slo.objective, 4),
                       ppdp::Table::FormatDouble(slo.attained, 4), slo.met ? "met" : "MISSED"});
   }
-  env.Emit(slo_table, "serve_slo", "SLO attainment over the run");
+  env.EmitTiming(slo_table, "serve_slo", "SLO attainment over the run");
   env.RecordSloAttainment(slos);
 
   (*app)->Stop();
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
       stage_table.AddRow({stage, std::to_string(stats.count),
                           ppdp::Table::FormatDouble(stats.mean_micros() / 1e3, 3)});
     }
-    env.Emit(stage_table, "serve_stage_breakdown",
+    env.EmitTiming(stage_table, "serve_stage_breakdown",
              "server-side per-stage latency (" + std::to_string(records->size()) +
                  " logged requests)");
   }

@@ -68,7 +68,8 @@ namespace ppdp::bench {
 /// table recorded by the library's TraceSpans — printed and written to
 /// <out>/<bench>_phases.csv — then the BENCH_<name>.json run report
 /// (invocation, build, fault plan, phase timings, histogram percentiles,
-/// ledger audits, and FNV-1a digests of every CSV written through Emit),
+/// ledger audits, and FNV-1a digests of every result CSV written through
+/// Emit; EmitTiming tables are listed undigested),
 /// and, when --trace_out was given, the full Chrome-loadable trace.
 struct BenchEnv {
   uint64_t seed = 7;
@@ -217,16 +218,16 @@ struct BenchEnv {
   /// Prints `table` under a heading and writes it to <out>/<name>.csv.
   /// The CSV is digested into the run report at exit.
   void Emit(const Table& table, const std::string& name, const std::string& heading) const {
-    std::cout << "== " << heading << " ==\n";
-    table.Print(std::cout);
-    std::string path = out_dir + "/" + name + ".csv";
-    Status status = table.WriteCsv(path);
-    if (status.ok()) {
-      std::cout << "(csv: " << path << ")\n\n";
-      RecordOutput(name, path);
-    } else {
-      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
-    }
+    WriteTable(table, name, heading, /*digest=*/true);
+  }
+
+  /// Emit for a table of measured times (phase timings, speedups,
+  /// throughput, latencies): its bytes differ between identical runs, so
+  /// the run report lists it with an empty digest, which digest checks
+  /// skip.
+  void EmitTiming(const Table& table, const std::string& name,
+                  const std::string& heading) const {
+    WriteTable(table, name, heading, /*digest=*/false);
   }
 
   /// Prints a privacy-ledger audit table, persists it as <out>/<name>.csv,
@@ -286,7 +287,7 @@ struct BenchEnv {
                   Table::FormatDouble(parallel_seconds, 4),
                   Table::FormatDouble(
                       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0, 2)});
-    Emit(table, name + "_speedup", heading);
+    EmitTiming(table, name + "_speedup", heading);
   }
 
   /// Per-phase wall-time table from every TraceSpan recorded so far.
@@ -295,7 +296,7 @@ struct BenchEnv {
   void EmitPhaseTimings() const {
     Table phases = obs::TraceRecorder::Global().PhaseSummary();
     if (phases.num_rows() == 0) return;
-    Emit(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
+    EmitTiming(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
   }
 
   /// Stops the sampling profiler and writes the ppdp.profile.v1 JSON plus
@@ -353,15 +354,17 @@ struct BenchEnv {
     report.profile = profile_info_;
     report.ledgers = ledgers_;
     report.slos = slos_;
-    for (const auto& [name, path] : outputs_) {
+    for (const Output& output : outputs_) {
       obs::RunReport::OutputDigest digest;
-      digest.name = name;
-      digest.path = path;
+      digest.name = output.name;
+      digest.path = output.path;
       std::error_code ec;
-      uintmax_t bytes = std::filesystem::file_size(path, ec);
+      uintmax_t bytes = std::filesystem::file_size(output.path, ec);
       digest.bytes = ec ? 0 : static_cast<uint64_t>(bytes);
-      Result<uint64_t> hash = obs::FileDigestFnv1a(path);
-      digest.fnv1a = hash.ok() ? obs::DigestToHex(*hash) : std::string();
+      if (output.digest) {
+        Result<uint64_t> hash = obs::FileDigestFnv1a(output.path);
+        digest.fnv1a = hash.ok() ? obs::DigestToHex(*hash) : std::string();
+      }
       report.outputs.push_back(std::move(digest));
     }
     Status status = report.WriteJson(report_out_);
@@ -373,16 +376,38 @@ struct BenchEnv {
   }
 
  private:
-  /// Remembers a CSV written through Emit, replacing an earlier write of
-  /// the same table name (benches may re-emit).
-  void RecordOutput(const std::string& name, const std::string& path) const {
-    for (auto& entry : outputs_) {
-      if (entry.first == name) {
-        entry.second = path;
+  /// A CSV written through Emit or EmitTiming; `digest` is false for
+  /// timing tables.
+  struct Output {
+    std::string name;
+    std::string path;
+    bool digest = true;
+  };
+
+  void WriteTable(const Table& table, const std::string& name, const std::string& heading,
+                  bool digest) const {
+    std::cout << "== " << heading << " ==\n";
+    table.Print(std::cout);
+    std::string path = out_dir + "/" + name + ".csv";
+    Status status = table.WriteCsv(path);
+    if (status.ok()) {
+      std::cout << "(csv: " << path << ")\n\n";
+      RecordOutput({name, path, digest});
+    } else {
+      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
+    }
+  }
+
+  /// Remembers a written CSV, replacing an earlier write of the same table
+  /// name (benches may re-emit).
+  void RecordOutput(Output output) const {
+    for (Output& entry : outputs_) {
+      if (entry.name == output.name) {
+        entry = std::move(output);
         return;
       }
     }
-    outputs_.emplace_back(name, path);
+    outputs_.push_back(std::move(output));
   }
 
   std::map<std::string, std::string> flag_values_;
@@ -398,7 +423,7 @@ struct BenchEnv {
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   // Emit/EmitLedger are const (benches hold const refs in helpers); the
   // report bookkeeping they feed is observational state, hence mutable.
-  mutable std::vector<std::pair<std::string, std::string>> outputs_;
+  mutable std::vector<Output> outputs_;
   mutable std::vector<obs::RunReport::LedgerAudit> ledgers_;
   mutable std::vector<obs::SloAttainment> slos_;
   mutable obs::RunReport::FaultInfo fault_;

@@ -15,6 +15,7 @@ size_t FactorGraph::AddVariable(size_t domain_size) {
   PPDP_CHECK(domain_size >= 2) << "variable needs at least two states";
   domains_.push_back(domain_size);
   evidence_.push_back(-1);
+  workspace_.factor_base.clear();
   factors_of_variable_.emplace_back();
   return domains_.size() - 1;
 }
@@ -36,6 +37,7 @@ size_t FactorGraph::AddFactor(std::vector<size_t> variables, std::vector<double>
   for (double v : table) PPDP_CHECK(v >= 0.0) << "negative factor entry " << v;
 
   size_t id = factors_.size();
+  workspace_.factor_base.clear();
   for (size_t v : variables) factors_of_variable_[v].push_back(id);
   factors_.push_back({std::move(variables), std::move(table)});
   return id;
@@ -72,32 +74,81 @@ FactorGraph::BpResult FactorGraph::RunBeliefPropagation() const {
 FactorGraph::MapResult FactorGraph::RunMaxProduct() const { return RunMaxProduct(BpOptions()); }
 
 FactorGraph::BpResult FactorGraph::RunBeliefPropagation(const BpOptions& options) const {
-  Messages messages = RunMessagePassing(options, /*max_product=*/false);
-  BpResult result;
-  result.iterations = messages.iterations;
-  result.converged = messages.converged;
-  result.marginals = Beliefs(messages);
+  BpResult result = RunMessagePassing(options, /*max_product=*/false);
+  result.marginals.resize(domains_.size());
+  for (size_t v = 0; v < domains_.size(); ++v) Belief(v, result.marginals[v]);
+  return result;
+}
+
+FactorGraph::BpResult FactorGraph::RunBeliefPropagation(
+    const BpOptions& options, const std::vector<size_t>& variables) const {
+  for (size_t v : variables) PPDP_CHECK(v < domains_.size()) << "variable " << v << " out of range";
+  BpResult result = RunMessagePassing(options, /*max_product=*/false);
+  result.marginals.resize(variables.size());
+  for (size_t i = 0; i < variables.size(); ++i) Belief(variables[i], result.marginals[i]);
   return result;
 }
 
 FactorGraph::MapResult FactorGraph::RunMaxProduct(const BpOptions& options) const {
-  Messages messages = RunMessagePassing(options, /*max_product=*/true);
+  BpResult pass = RunMessagePassing(options, /*max_product=*/true);
   MapResult result;
-  result.iterations = messages.iterations;
-  result.converged = messages.converged;
-  std::vector<std::vector<double>> beliefs = Beliefs(messages);
+  result.iterations = pass.iterations;
+  result.converged = pass.converged;
   result.assignment.resize(domains_.size());
+  std::vector<double> belief;
   for (size_t v = 0; v < domains_.size(); ++v) {
+    Belief(v, belief);
     size_t best = 0;
-    for (size_t x = 1; x < beliefs[v].size(); ++x) {
-      if (beliefs[v][x] > beliefs[v][best]) best = x;
+    for (size_t x = 1; x < belief.size(); ++x) {
+      if (belief[x] > belief[best]) best = x;
     }
     result.assignment[v] = best;
   }
   return result;
 }
 
-FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
+FactorGraph::Workspace& FactorGraph::PreparedWorkspace() const {
+  Workspace& ws = workspace_;
+  if (!ws.factor_base.empty()) return ws;
+  // Lay out one slot per (factor, position); factor_base[f] is factor f's
+  // first slot offset, the same in both message arrays. Scratch sizes come
+  // from the widest factor.
+  ws.factor_base.assign(factors_.size() + 1, 0);
+  size_t max_arity = 0;
+  size_t max_slots = 0;
+  for (size_t f = 0; f < factors_.size(); ++f) {
+    size_t slots = 0;
+    for (size_t v : factors_[f].variables) slots += domains_[v];
+    ws.factor_base[f + 1] = ws.factor_base[f] + slots;
+    max_arity = std::max(max_arity, factors_[f].variables.size());
+    max_slots = std::max(max_slots, slots);
+  }
+  ws.to_factor.resize(ws.factor_base.back());
+  ws.to_variable.resize(ws.factor_base.back());
+  ws.assignment.resize(max_arity);
+  ws.fresh.resize(max_slots);
+  // Each variable's incoming slots, in factors_of_variable_ order (the
+  // order every product over them multiplies in).
+  ws.incoming_begin.assign(domains_.size() + 1, 0);
+  for (size_t v = 0; v < domains_.size(); ++v) {
+    ws.incoming_begin[v + 1] = ws.incoming_begin[v] + factors_of_variable_[v].size();
+  }
+  ws.incoming.resize(ws.incoming_begin.back());
+  for (size_t v = 0; v < domains_.size(); ++v) {
+    size_t next = ws.incoming_begin[v];
+    for (size_t f : factors_of_variable_[v]) {
+      size_t offset = ws.factor_base[f];
+      for (size_t u : factors_[f].variables) {
+        if (u == v) break;
+        offset += domains_[u];
+      }
+      ws.incoming[next++] = {f, offset};
+    }
+  }
+  return ws;
+}
+
+FactorGraph::BpResult FactorGraph::RunMessagePassing(const BpOptions& options,
                                                      bool max_product) const {
   obs::TraceSpan span(max_product ? "genomics.bp.max_product" : "genomics.bp.sum_product");
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("genomics.bp.runs");
@@ -107,24 +158,14 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
       obs::MetricsRegistry::Global().histogram("genomics.bp.iteration_seconds");
   runs.Increment();
 
-  // Lay out one slot per (factor, position); factor_base[f] is factor f's
-  // first slot offset, the same in both message arrays. Scratch sizes come
-  // from the widest factor.
-  std::vector<size_t> factor_base(factors_.size() + 1, 0);
-  size_t max_arity = 0;
-  size_t max_slots = 0;
-  for (size_t f = 0; f < factors_.size(); ++f) {
-    size_t slots = 0;
-    for (size_t v : factors_[f].variables) slots += domains_[v];
-    factor_base[f + 1] = factor_base[f] + slots;
-    max_arity = std::max(max_arity, factors_[f].variables.size());
-    max_slots = std::max(max_slots, slots);
-  }
-  Messages messages;
-  auto& to_factor = messages.to_factor;
-  auto& to_variable = messages.to_variable;
-  to_factor.resize(factor_base.back());
-  to_variable.resize(factor_base.back());
+  Workspace& ws = PreparedWorkspace();
+  const std::vector<size_t>& factor_base = ws.factor_base;
+  const std::vector<size_t>& incoming_begin = ws.incoming_begin;
+  const std::vector<std::pair<size_t, size_t>>& incoming = ws.incoming;
+  std::vector<double>& to_factor = ws.to_factor;
+  std::vector<double>& to_variable = ws.to_variable;
+  std::vector<size_t>& assignment = ws.assignment;
+  std::vector<double>& fresh = ws.fresh;
   // Uniform start; evidence variables send their indicator from the
   // first sweep on, so it is written once here.
   for (size_t f = 0; f < factors_.size(); ++f) {
@@ -141,29 +182,8 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
       offset += domains_[v];
     }
   }
-  // Each variable's incoming slots, in factors_of_variable_ order (the
-  // order every product over them multiplies in).
-  auto& incoming_begin = messages.incoming_begin;
-  auto& incoming = messages.incoming;
-  incoming_begin.assign(domains_.size() + 1, 0);
-  for (size_t v = 0; v < domains_.size(); ++v) {
-    incoming_begin[v + 1] = incoming_begin[v] + factors_of_variable_[v].size();
-  }
-  incoming.resize(incoming_begin.back());
-  for (size_t v = 0; v < domains_.size(); ++v) {
-    size_t next = incoming_begin[v];
-    for (size_t f : factors_of_variable_[v]) {
-      size_t offset = factor_base[f];
-      for (size_t u : factors_[f].variables) {
-        if (u == v) break;
-        offset += domains_[u];
-      }
-      incoming[next++] = {f, offset};
-    }
-  }
 
-  std::vector<size_t> assignment(max_arity);
-  std::vector<double> fresh(max_slots);
+  BpResult result;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     double iteration_start = obs::MonotonicSeconds();
     // Variable -> factor: reads only the previous sweep's to_variable.
@@ -189,35 +209,53 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
     // entry i is the table value of the i-th mixed-radix assignment)
     // accumulates every outgoing message into `fresh`.
     double max_change = 0.0;
+    auto accumulate = [max_product](double& out, double partial) {
+      out = max_product ? std::max(out, partial) : out + partial;
+    };
     for (size_t f = 0; f < factors_.size(); ++f) {
       const auto& vars = factors_[f].variables;
       const auto& table = factors_[f].table;
       const size_t base = factor_base[f];
       const size_t slots = factor_base[f + 1] - base;
       const double* in = to_factor.data() + base;
-      std::fill_n(assignment.begin(), vars.size(), 0);
       std::fill_n(fresh.begin(), slots, 0.0);
-      for (double value : table) {
-        if (value > 0.0) {
-          // Each position's outgoing entry is the table value times every
-          // other position's incoming message.
-          size_t offset_k = 0;
-          for (size_t k = 0; k < vars.size(); ++k) {
-            double partial = value;
-            size_t offset_k2 = 0;
-            for (size_t k2 = 0; k2 < vars.size(); ++k2) {
-              if (k2 != k) partial *= in[offset_k2 + assignment[k2]];
-              offset_k2 += domains_[vars[k2]];
+      if (vars.size() == 2) {
+        // Pairwise factors (all chapter-5 attack factors but the priors):
+        // the general sweep below unrolled, with the same products.
+        const size_t d0 = domains_[vars[0]];
+        const size_t d1 = domains_[vars[1]];
+        const double* value = table.data();
+        for (size_t a = 0; a < d0; ++a) {
+          for (size_t b = 0; b < d1; ++b, ++value) {
+            if (*value > 0.0) {
+              accumulate(fresh[a], *value * in[d0 + b]);
+              accumulate(fresh[d0 + b], *value * in[a]);
             }
-            double& out = fresh[offset_k + assignment[k]];
-            out = max_product ? std::max(out, partial) : out + partial;
-            offset_k += domains_[vars[k]];
           }
         }
-        // Mixed-radix increment, last variable fastest.
-        for (size_t pos = vars.size(); pos > 0; --pos) {
-          if (++assignment[pos - 1] < domains_[vars[pos - 1]]) break;
-          assignment[pos - 1] = 0;
+      } else {
+        std::fill_n(assignment.begin(), vars.size(), 0);
+        for (double value : table) {
+          if (value > 0.0) {
+            // Each position's outgoing entry is the table value times every
+            // other position's incoming message.
+            size_t offset_k = 0;
+            for (size_t k = 0; k < vars.size(); ++k) {
+              double partial = value;
+              size_t offset_k2 = 0;
+              for (size_t k2 = 0; k2 < vars.size(); ++k2) {
+                if (k2 != k) partial *= in[offset_k2 + assignment[k2]];
+                offset_k2 += domains_[vars[k2]];
+              }
+              accumulate(fresh[offset_k + assignment[k]], partial);
+              offset_k += domains_[vars[k]];
+            }
+          }
+          // Mixed-radix increment, last variable fastest.
+          for (size_t pos = vars.size(); pos > 0; --pos) {
+            if (++assignment[pos - 1] < domains_[vars[pos - 1]]) break;
+            assignment[pos - 1] = 0;
+          }
         }
       }
       double change = 0.0;
@@ -242,40 +280,36 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
       max_change = std::max(max_change, change);
     }
 
-    messages.iterations = iter + 1;
+    result.iterations = iter + 1;
     iteration_count.Increment();
     iteration_seconds.Observe(obs::MonotonicSeconds() - iteration_start);
     if (max_change < options.tolerance) {
-      messages.converged = true;
+      result.converged = true;
       break;
     }
   }
-  PPDP_LOG(DEBUG) << "BP finished" << obs::Field("iterations", messages.iterations)
-                  << obs::Field("converged", messages.converged)
+  PPDP_LOG(DEBUG) << "BP finished" << obs::Field("iterations", result.iterations)
+                  << obs::Field("converged", result.converged)
                   << obs::Field("variables", domains_.size())
                   << obs::Field("factors", factors_.size())
                   << obs::Field("seconds", span.ElapsedSeconds());
-  return messages;
+  return result;
 }
 
-std::vector<std::vector<double>> FactorGraph::Beliefs(const Messages& messages) const {
-  // Beliefs: product of incoming factor messages (and evidence).
-  std::vector<std::vector<double>> beliefs(domains_.size());
-  for (size_t v = 0; v < domains_.size(); ++v) {
-    std::vector<double>& belief = beliefs[v];
-    if (evidence_[v] >= 0) {
-      belief.assign(domains_[v], 0.0);
-      belief[static_cast<size_t>(evidence_[v])] = 1.0;
-      continue;
-    }
-    belief.assign(domains_[v], 1.0);
-    for (size_t i = messages.incoming_begin[v]; i < messages.incoming_begin[v + 1]; ++i) {
-      const double* in = messages.to_variable.data() + messages.incoming[i].second;
-      for (size_t x = 0; x < domains_[v]; ++x) belief[x] *= in[x];
-    }
-    NormalizeInPlace(belief);
+void FactorGraph::Belief(size_t variable, std::vector<double>& belief) const {
+  const size_t d = domains_[variable];
+  if (evidence_[variable] >= 0) {
+    belief.assign(d, 0.0);
+    belief[static_cast<size_t>(evidence_[variable])] = 1.0;
+    return;
   }
-  return beliefs;
+  const Workspace& ws = workspace_;
+  belief.assign(d, 1.0);
+  for (size_t i = ws.incoming_begin[variable]; i < ws.incoming_begin[variable + 1]; ++i) {
+    const double* in = ws.to_variable.data() + ws.incoming[i].second;
+    for (size_t x = 0; x < d; ++x) belief[x] *= in[x];
+  }
+  NormalizeInPlace(belief);
 }
 
 std::vector<size_t> FactorGraph::ExactMap(size_t max_states) const {

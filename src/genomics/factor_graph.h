@@ -57,8 +57,18 @@ class FactorGraph {
 
   /// Runs flooding-schedule sum-product BP. Exact on trees; approximate on
   /// loopy graphs (the chapter-5 graphs are near-trees).
+  ///
+  /// Every run reuses the graph's BP workspace (see Workspace), so runs of
+  /// one graph must not overlap: run a graph from one thread at a time.
   BpResult RunBeliefPropagation(const BpOptions& options) const;
   BpResult RunBeliefPropagation() const;
+
+  /// The same run, computing the beliefs of `variables` only:
+  /// marginals[i] is variables[i]'s, bit-identical to its entry in the
+  /// full result. For callers that rerun BP under changing evidence and
+  /// read a few variables each time.
+  BpResult RunBeliefPropagation(const BpOptions& options,
+                                const std::vector<size_t>& variables) const;
 
   /// Exact marginals by exhaustive enumeration, for validating BP on small
   /// graphs. Dies if the joint state space exceeds `max_states`.
@@ -87,29 +97,37 @@ class FactorGraph {
     std::vector<double> table;
   };
 
-  /// Message state shared by sum-product and max-product passes. Both
-  /// directions live in flat arrays with one slot per (factor, position):
-  /// factor f's slots start at the sum of the domains of every earlier
-  /// factor's variables, and slot (f, k) holds domain(variables[k])
-  /// doubles.
-  struct Messages {
-    std::vector<double> to_factor;
-    std::vector<double> to_variable;
+  /// What stays fixed between runs of one graph, whatever its evidence:
+  /// the message layout and every buffer a run writes. The first run after
+  /// the graph's shape last changed builds it; later runs only reset the
+  /// messages, so rerunning BP under new evidence allocates nothing. Both
+  /// message directions live in flat arrays with one slot per (factor,
+  /// position): factor f's slots start at factor_base[f], and slot (f, k)
+  /// holds domain(variables[k]) doubles.
+  struct Workspace {
+    std::vector<size_t> factor_base;  ///< size num_factors() + 1; empty = not built
     /// Per variable v, the offsets of the slots that feed it, in
     /// factors_of_variable_ order: incoming[incoming_begin[v] ..
     /// incoming_begin[v + 1]), each {factor, offset}.
     std::vector<size_t> incoming_begin;
     std::vector<std::pair<size_t, size_t>> incoming;
-    size_t iterations = 0;
-    bool converged = false;
+    std::vector<double> to_factor;
+    std::vector<double> to_variable;
+    std::vector<size_t> assignment;  ///< widest factor's arity
+    std::vector<double> fresh;       ///< widest factor's slot count
   };
 
-  /// Runs the flooding schedule; `max_product` swaps the factor-side sum
-  /// for a max.
-  Messages RunMessagePassing(const BpOptions& options, bool max_product) const;
+  /// The workspace, laid out for the current shape.
+  Workspace& PreparedWorkspace() const;
 
-  /// Per-variable beliefs (product of incoming messages and evidence).
-  std::vector<std::vector<double>> Beliefs(const Messages& messages) const;
+  /// Runs the flooding schedule in the workspace (`max_product` swaps the
+  /// factor-side sum for a max); returns the iteration count and
+  /// convergence with no marginals.
+  BpResult RunMessagePassing(const BpOptions& options, bool max_product) const;
+
+  /// Belief of `variable` after the last run: the product of its incoming
+  /// messages, or the evidence indicator.
+  void Belief(size_t variable, std::vector<double>& belief) const;
 
   double TableValue(const Factor& f, const std::vector<size_t>& assignment) const;
 
@@ -117,6 +135,7 @@ class FactorGraph {
   std::vector<int64_t> evidence_;  ///< -1 = free
   std::vector<Factor> factors_;
   std::vector<std::vector<size_t>> factors_of_variable_;
+  mutable Workspace workspace_;
 };
 
 }  // namespace ppdp::genomics

@@ -30,23 +30,44 @@ bool SatisfiesDeltaPrivacy(const std::vector<std::vector<double>>& marginals, do
   });
 }
 
-PrivacyReport EvaluateTraitPrivacy(const GenomeAttackResult& attack,
-                                   const std::vector<size_t>& target_traits) {
+namespace {
+
+/// Summarizes `count` target marginals, the i-th read as marginal(i).
+template <typename Marginal>
+PrivacyReport SummarizeTargets(size_t count, Marginal marginal) {
   PrivacyReport report;
-  if (target_traits.empty()) return report;
+  if (count == 0) return report;
   double entropy_sum = 0.0;
   double error_sum = 0.0;
   report.min_entropy = 1.0;
-  for (size_t t : target_traits) {
-    PPDP_CHECK(t < attack.trait_marginals.size()) << "target trait out of range";
-    double h = EntropyPrivacy(attack.trait_marginals[t]);
+  for (size_t i = 0; i < count; ++i) {
+    const std::vector<double>& m = marginal(i);
+    double h = EntropyPrivacy(m);
     entropy_sum += h;
     report.min_entropy = std::min(report.min_entropy, h);
-    error_sum += EstimationError(attack.trait_marginals[t]);
+    error_sum += EstimationError(m);
   }
-  report.mean_entropy = entropy_sum / static_cast<double>(target_traits.size());
-  report.mean_error = error_sum / static_cast<double>(target_traits.size());
+  report.mean_entropy = entropy_sum / static_cast<double>(count);
+  report.mean_error = error_sum / static_cast<double>(count);
   return report;
+}
+
+}  // namespace
+
+PrivacyReport EvaluateTraitPrivacy(const GenomeAttackResult& attack,
+                                   const std::vector<size_t>& target_traits) {
+  for (size_t t : target_traits) {
+    PPDP_CHECK(t < attack.trait_marginals.size()) << "target trait out of range";
+  }
+  return SummarizeTargets(target_traits.size(), [&](size_t i) -> const std::vector<double>& {
+    return attack.trait_marginals[target_traits[i]];
+  });
+}
+
+PrivacyReport EvaluateTraitPrivacy(const std::vector<std::vector<double>>& target_marginals) {
+  return SummarizeTargets(target_marginals.size(), [&](size_t i) -> const std::vector<double>& {
+    return target_marginals[i];
+  });
 }
 
 size_t ReleasedSnpCount(const TargetView& view) {

@@ -68,11 +68,6 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
   PPDP_CHECK(!target_traits.empty()) << "no target traits to protect";
   PPDP_CHECK(options.delta >= 0.0 && options.delta <= 1.0);
 
-  auto evaluate = [&](const TargetView& v) {
-    GenomeAttackResult attack = RunGenomeInference(catalog, v, options.method, options.bp);
-    return EvaluateTraitPrivacy(attack, target_traits);
-  };
-
   // Candidate pool: published neighbor SNPs of any target trait.
   std::set<size_t> pool;
   for (size_t t : target_traits) {
@@ -82,8 +77,36 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
     }
   }
 
+  // The BP attack compiles its factor graph once per call. The graph's
+  // shape does not depend on the view, so hiding a SNP is clearing its
+  // evidence, and each score reruns BP on the same graph and workspace and
+  // reads the target beliefs alone. Naive Bayes rescores the view.
+  const bool bp = options.method == AttackMethod::kBeliefPropagation;
+  std::vector<size_t> trait_variable, snp_variable, target_variables;
+  FactorGraph graph;
+  if (bp) {
+    graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
+    for (size_t t : target_traits) target_variables.push_back(trait_variable[t]);
+  }
+  auto evaluate = [&] {
+    if (!bp) {
+      return EvaluateTraitPrivacy(RunGenomeInference(catalog, view, options.method, options.bp),
+                                  target_traits);
+    }
+    return EvaluateTraitPrivacy(graph.RunBeliefPropagation(options.bp, target_variables).marginals);
+  };
+  auto publish = [&](size_t s, bool known) {
+    view.snp_known[s] = known;
+    if (!bp) return;
+    if (known) {
+      graph.SetEvidence(snp_variable[s], static_cast<size_t>(view.individual.genotypes[s]));
+    } else {
+      graph.ClearEvidence(snp_variable[s]);
+    }
+  };
+
   GputResult result;
-  PrivacyReport current = evaluate(view);
+  PrivacyReport current = evaluate();
   result.privacy_trace.push_back(current.min_entropy);
 
   while (current.min_entropy < options.delta && !pool.empty() &&
@@ -92,9 +115,9 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
     PrivacyReport best_report;
     double best_key = -1.0;
     for (size_t s : pool) {
-      view.snp_known[s] = false;
-      PrivacyReport report = evaluate(view);
-      view.snp_known[s] = true;
+      publish(s, false);
+      PrivacyReport report = evaluate();
+      publish(s, true);
       // Lexicographic: raise the worst-protected target first, then mean.
       double key = report.min_entropy + 1e-3 * report.mean_entropy;
       if (key > best_key) {
@@ -109,7 +132,7 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
         best_report.mean_entropy <= current.mean_entropy + 1e-12) {
       break;
     }
-    view.snp_known[best_snp] = false;
+    publish(best_snp, false);
     pool.erase(best_snp);
     current = best_report;
     result.sanitized.push_back(best_snp);

@@ -80,6 +80,7 @@ void CollectGlobalTelemetry(RunReport* report) {
 
   report->wall_seconds = MonotonicSeconds();
   report->cpu_seconds = ProcessCpuSeconds();
+  report->trace_dropped = TraceRecorder::Global().num_dropped();
 }
 
 JsonValue RunReport::ToJson() const {
@@ -186,6 +187,7 @@ JsonValue RunReport::ToJson() const {
 
   doc.Set("wall_seconds", JsonValue::Number(wall_seconds));
   doc.Set("cpu_seconds", JsonValue::Number(cpu_seconds));
+  doc.Set("trace_dropped", JsonValue::Number(static_cast<double>(trace_dropped)));
 
   JsonValue flight_obj = JsonValue::Object();
   flight_obj.Set("recorded", JsonValue::Number(static_cast<double>(flight.recorded)));
@@ -245,6 +247,7 @@ Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
   report.scale = doc.GetNumberOr("scale", 1.0);
   report.wall_seconds = doc.GetNumberOr("wall_seconds", 0.0);
   report.cpu_seconds = doc.GetNumberOr("cpu_seconds", 0.0);
+  report.trace_dropped = static_cast<uint64_t>(doc.GetNumberOr("trace_dropped", 0));
 
   if (const JsonValue* flags = doc.Find("flags"); flags && flags->is_object()) {
     for (const auto& [key, value] : flags->members()) {
@@ -394,10 +397,17 @@ Status ValidateReportJson(const JsonValue& doc) {
   const JsonValue* outputs = doc.Find("outputs");
   for (size_t i = 0; i < outputs->size(); ++i) {
     const JsonValue& row = outputs->at(i);
-    if (!row.is_object() || row.GetStringOr("path", "").empty() ||
-        row.GetStringOr("fnv1a", "").size() != 16) {
+    if (!row.is_object() || row.GetStringOr("path", "").empty() || !row.Has("fnv1a")) {
       return Status::InvalidArgument("outputs[" + std::to_string(i) + "] malformed");
     }
+    const size_t digest_size = row.GetStringOr("fnv1a", "").size();
+    if (digest_size != 0 && digest_size != 16) {
+      return Status::InvalidArgument("outputs[" + std::to_string(i) + "] malformed");
+    }
+  }
+  if (const JsonValue* dropped = doc.Find("trace_dropped");
+      dropped != nullptr && !dropped->is_number()) {
+    return Status::InvalidArgument("key \"trace_dropped\" has the wrong kind");
   }
   const JsonValue* fault = doc.Find("fault");
   if (!fault->Has("armed") || !fault->Has("rate")) {
@@ -472,7 +482,7 @@ ReportDiff DiffReports(const RunReport& baseline, const RunReport& current,
   for (const RunReport::OutputDigest& out : current.outputs) current_outputs[out.name] = &out;
   for (const RunReport::OutputDigest& base : baseline.outputs) {
     auto it = current_outputs.find(base.name);
-    if (it != current_outputs.end() && !base.fnv1a.empty() &&
+    if (it != current_outputs.end() && !base.fnv1a.empty() && !it->second->fnv1a.empty() &&
         base.fnv1a != it->second->fnv1a) {
       diff.digest_mismatches.push_back(base.name);
     }

@@ -77,12 +77,18 @@ struct RunReport {
     std::string name;  ///< table name as passed to BenchEnv::Emit
     std::string path;
     uint64_t bytes = 0;
-    std::string fnv1a;  ///< DigestToHex of the file content
+    /// DigestToHex of the file content; empty for a timing table, whose
+    /// bytes differ between identical runs.
+    std::string fnv1a;
   };
   std::vector<OutputDigest> outputs;
 
   double wall_seconds = 0.0;  ///< process wall time at emission
   double cpu_seconds = 0.0;   ///< process CPU time at emission
+  /// Raw span events the trace recorder did not keep (it keeps them only
+  /// while a bench writes --trace_out, up to its cap); phase timings never
+  /// drop. Absent in older reports, read as 0.
+  uint64_t trace_dropped = 0;
 
   struct FlightStats {
     uint64_t recorded = 0;
@@ -132,7 +138,8 @@ void CollectGlobalTelemetry(RunReport* report);
 
 /// Checks the invariants CI and report_test rely on: schema tag + version,
 /// the required top-level keys with the right JSON kinds, and well-formed
-/// phase/output entries. Returns the first violation.
+/// phase/output entries (an output's digest is 16 hex digits, or empty for a
+/// timing table). Returns the first violation.
 Status ValidateReportJson(const JsonValue& doc);
 
 /// ---- `ppdp_stat bench`: phase-by-phase perf diff with a noise threshold ----
@@ -155,7 +162,8 @@ struct DiffOptions {
   double min_ms = 5.0;
   /// Also fail when an output digest present in both reports differs
   /// (determinism audit; off by default since baselines may be produced by
-  /// a different compiler).
+  /// a different compiler). Outputs with an empty digest on either side
+  /// (timing tables) are never compared.
   bool check_digests = false;
   /// Relative growth of a phase's peak RSS tolerated before the phase
   /// counts as a memory regression (0.5 = +50%). 0 disables the memory

@@ -25,6 +25,7 @@
 #include "genomics/genome_data.h"
 #include "genomics/gwas_catalog.h"
 #include "genomics/inference_attack.h"
+#include "genomics/snp_sanitizer.h"
 #include "graph/graph_generators.h"
 
 namespace ppdp {
@@ -142,6 +143,95 @@ TEST(DeterminismTest, BeliefPropagationBitsArePinned) {
   EXPECT_EQ(plain, 0x94cd836262077c1eULL) << std::hex << plain;
   EXPECT_EQ(damped, 0x9f4b0da8218a3adeULL) << std::hex << damped;
   EXPECT_EQ(map, 0xaf2b1e1bd72e0a71ULL) << std::hex << map;
+}
+
+/// Chains a greedy sanitizer's whole output into `h`: the pick order, the
+/// privacy trace doubles, the verdict, the released count and the
+/// sanitized view's published mask.
+uint64_t HashGput(const genomics::GputResult& result, const genomics::TargetView& sanitized,
+                  uint64_t h) {
+  h = Fnv1a64(result.sanitized.data(), result.sanitized.size() * sizeof(size_t), h);
+  h = Fnv1a64(result.privacy_trace.data(), result.privacy_trace.size() * sizeof(double), h);
+  const unsigned char satisfied = result.satisfied ? 1 : 0;
+  h = Fnv1a64(&satisfied, 1, h);
+  h = Fnv1a64(&result.released, sizeof(result.released), h);
+  for (bool known : sanitized.snp_known) {
+    const unsigned char bit = known ? 1 : 0;
+    h = Fnv1a64(&bit, 1, h);
+  }
+  return h;
+}
+
+TEST(DeterminismTest, GreedySanitizeBitsArePinned) {
+  // GreedySanitize scores every candidate SNP by rerunning the attack, so
+  // its picks and privacy trace carry BP's exact bits. The serving digest
+  // covers the 16 target sets the serving benchmark cycles through (each
+  // single trait and each adjacent pair) at eight deltas on the daemon's
+  // default panel (300 SNPs, seed 7). The other digests pin the paths that
+  // panel does not reach: damped BP, the Naive Bayes attack, a cap on the
+  // number of hidden SNPs, and a catalog with LD factors and a published
+  // trait.
+  Rng rng(7);
+  genomics::SyntheticCatalogConfig catalog_config;
+  catalog_config.num_snps = 300;
+  const genomics::GwasCatalog catalog = genomics::GenerateSyntheticCatalog(catalog_config, rng);
+  const genomics::Individual person = genomics::SampleIndividual(catalog, rng);
+  const genomics::TargetView base = genomics::MakeTargetView(catalog, person, {});
+
+  std::vector<std::vector<size_t>> sets;
+  const size_t traits = catalog.num_traits();
+  for (size_t t = 0; t < traits; ++t) sets.push_back({t});
+  for (size_t t = 0; t < traits; ++t) sets.push_back({t, (t + 1) % traits});
+
+  auto run = [&](const genomics::GwasCatalog& c, const genomics::TargetView& view,
+                 const genomics::GputOptions& options, std::vector<double> deltas) {
+    uint64_t h = kFnv1a64Basis;
+    for (const std::vector<size_t>& set : sets) {
+      for (double delta : deltas) {
+        genomics::GputOptions o = options;
+        o.delta = delta;
+        genomics::TargetView sanitized;
+        const genomics::GputResult result = genomics::GreedySanitize(c, view, set, o, &sanitized);
+        h = HashGput(result, sanitized, h);
+      }
+    }
+    return h;
+  };
+
+  const uint64_t serving =
+      run(catalog, base, {}, {0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95});
+  genomics::GputOptions damped_options;
+  damped_options.bp.damping = 0.4;
+  const uint64_t damped = run(catalog, base, damped_options, {0.5, 0.9});
+  genomics::GputOptions naive_options;
+  naive_options.method = genomics::AttackMethod::kNaiveBayes;
+  const uint64_t naive = run(catalog, base, naive_options, {0.5, 0.9});
+  genomics::GputOptions capped_options;
+  capped_options.max_sanitized = 2;
+  const uint64_t capped = run(catalog, base, capped_options, {0.95});
+
+  // LD factors tie each trait's first SNP to an unassociated, published
+  // locus and to the next trait's last SNP; trait 2 is published.
+  genomics::GwasCatalog ld_catalog = catalog;
+  genomics::TargetView ld_view = genomics::MakeTargetView(catalog, person, {2});
+  for (size_t t = 0; t < traits; ++t) {
+    const std::vector<size_t>& own = catalog.AssociationsOfTrait(t);
+    const std::vector<size_t>& next = catalog.AssociationsOfTrait((t + 1) % traits);
+    const size_t first = catalog.associations()[own.front()].snp;
+    const size_t last_of_next = catalog.associations()[next.back()].snp;
+    const size_t unassociated = catalog.num_snps() - 1 - t;
+    ASSERT_TRUE(catalog.AssociationsOfSnp(unassociated).empty());
+    ld_catalog.AddLdPair({first, unassociated, 0.7});
+    if (first != last_of_next) ld_catalog.AddLdPair({first, last_of_next, 0.5});
+    ld_view.snp_known[unassociated] = true;
+  }
+  const uint64_t ld = run(ld_catalog, ld_view, {}, {0.5, 0.9});
+
+  EXPECT_EQ(serving, 0xd542f67898696671ULL) << std::hex << serving;
+  EXPECT_EQ(damped, 0x674c867259c1bfd5ULL) << std::hex << damped;
+  EXPECT_EQ(naive, 0xdaab75ba8e6cf286ULL) << std::hex << naive;
+  EXPECT_EQ(capped, 0xb8b61b286ef5917dULL) << std::hex << capped;
+  EXPECT_EQ(ld, 0x476f50fcce145d04ULL) << std::hex << ld;
 }
 
 TEST(DeterminismTest, ByteIdenticalUnderInjectedSchedulingJitterAndRoundFaults) {

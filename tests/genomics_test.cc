@@ -425,6 +425,58 @@ TEST(InferenceTest, BpMatchesExactOnFig51) {
   }
 }
 
+TEST(InferenceTest, EvidenceFlipOnOneGraphMatchesARebuiltGraph) {
+  // GreedySanitize's scoring loop: one graph, each SNP hidden by clearing
+  // its evidence, then restored. Every run must give the bits a graph
+  // rebuilt from the view with that SNP unpublished gives, and the
+  // targets-only overload must match the full result's entries.
+  GwasCatalog catalog = Fig51Catalog();
+  TargetView view = Fig51View(catalog);
+  std::vector<size_t> trait_var, snp_var;
+  FactorGraph graph = BuildAttackGraph(catalog, view, &trait_var, &snp_var);
+  const std::vector<size_t> targets = {trait_var[0], trait_var[1]};
+  for (size_t s = 0; s < catalog.num_snps(); ++s) {
+    TargetView hidden = view;
+    hidden.snp_known[s] = false;
+    std::vector<size_t> fresh_trait_var, fresh_snp_var;
+    const FactorGraph fresh =
+        BuildAttackGraph(catalog, hidden, &fresh_trait_var, &fresh_snp_var);
+    const FactorGraph::BpResult expected = fresh.RunBeliefPropagation();
+
+    graph.ClearEvidence(snp_var[s]);
+    const FactorGraph::BpResult full = graph.RunBeliefPropagation();
+    const FactorGraph::BpResult some = graph.RunBeliefPropagation({}, targets);
+    graph.SetEvidence(snp_var[s], static_cast<size_t>(view.individual.genotypes[s]));
+
+    EXPECT_EQ(full.marginals, expected.marginals) << "snp " << s;
+    EXPECT_EQ(full.iterations, expected.iterations) << "snp " << s;
+    ASSERT_EQ(some.marginals.size(), targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      EXPECT_EQ(some.marginals[i], expected.marginals[targets[i]]) << "snp " << s;
+    }
+  }
+}
+
+TEST(FactorGraphTest, GrowingTheGraphAfterARunRebuildsTheWorkspace) {
+  FactorGraph g;
+  size_t a = g.AddVariable(2);
+  size_t b = g.AddVariable(3);
+  g.AddFactor({a, b}, {0.9, 0.05, 0.05, 0.1, 0.45, 0.45});
+  (void)g.RunBeliefPropagation();
+  size_t c = g.AddVariable(2);
+  g.AddFactor({b, c}, {0.7, 0.3, 0.5, 0.5, 0.2, 0.8});
+  g.AddFactor({a}, {0.3, 0.7});
+  g.SetEvidence(c, 1);
+  const FactorGraph::BpResult grown = g.RunBeliefPropagation();
+  const std::vector<std::vector<double>> exact = g.ExactMarginals();
+  ASSERT_EQ(grown.marginals.size(), 3u);
+  for (size_t v = 0; v < 3; ++v) {
+    for (size_t x = 0; x < g.domain(v); ++x) {
+      EXPECT_NEAR(grown.marginals[v][x], exact[v][x], 1e-9) << v << "," << x;
+    }
+  }
+}
+
 // --- Max-product / reconstruction -------------------------------------------
 
 TEST(MaxProductTest, ChainMatchesExactMap) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/json.h"
+#include "common/table.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -140,6 +143,16 @@ TEST(RunReportTest, ValidationCatchesMissingAndMalformedSections) {
   outputs.Append(std::move(row));
   bad_digest.Set("outputs", std::move(outputs));
   EXPECT_FALSE(ValidateReportJson(bad_digest).ok()) << "non-16-hex digest must fail";
+
+  JsonValue timing_output = JsonValue::Parse(doc.Dump()).value();
+  outputs = JsonValue::Array();
+  row = JsonValue::Object();
+  row.Set("name", JsonValue::String("t_phases"));
+  row.Set("path", JsonValue::String("t_phases.csv"));
+  row.Set("fnv1a", JsonValue::String(""));
+  outputs.Append(std::move(row));
+  timing_output.Set("outputs", std::move(outputs));
+  EXPECT_TRUE(ValidateReportJson(timing_output).ok()) << "a timing table has an empty digest";
 
   EXPECT_FALSE(ValidateReportJson(JsonValue::Number(1)).ok());
 }
@@ -375,6 +388,103 @@ TEST(DiffReportsTest, FasterRunsPassTheGate) {
   EXPECT_FALSE(diff.regressed);
   EXPECT_DOUBLE_EQ(diff.baseline_total_ms, 150.0);
   EXPECT_DOUBLE_EQ(diff.current_total_ms, 80.0);
+}
+
+TEST(RunReportTest, TraceDropCountSurvivesTheRoundTrip) {
+  RunReport report = MakeReport();
+  report.trace_dropped = 4242;
+  EXPECT_TRUE(ValidateReportJson(report.ToJson()).ok());
+  std::string path = TempPath("report_trace_dropped.json");
+  ASSERT_TRUE(report.WriteJson(path).ok());
+  Result<RunReport> loaded = RunReport::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->trace_dropped, 4242u);
+
+  // Reports written before the field existed read as "nothing dropped".
+  std::string text = report.ToJson().Dump();
+  const std::string field = "\"trace_dropped\":4242,";
+  ASSERT_NE(text.find(field), std::string::npos) << text;
+  text.erase(text.find(field), field.size());
+  JsonValue old_doc = JsonValue::Parse(text).value();
+  EXPECT_TRUE(ValidateReportJson(old_doc).ok());
+  EXPECT_EQ(RunReport::FromJson(old_doc)->trace_dropped, 0u);
+
+  JsonValue wrong_kind = report.ToJson();
+  wrong_kind.Set("trace_dropped", JsonValue::String("many"));
+  EXPECT_FALSE(ValidateReportJson(wrong_kind).ok());
+}
+
+/// Runs a bench harness that emits one result table and one timing table
+/// (whose values change with `run`) and returns the report it wrote.
+RunReport BenchRunReport(const std::string& dir, int run) {
+  std::filesystem::create_directories(dir);
+  const std::string report_path = dir + "/BENCH_digests.json";
+  {
+    std::vector<std::string> args = {"bench_digests", "--out", dir, "--report_out", report_path,
+                                     "--sample_period_ms", "0", "--flight_dump", "off"};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    bench::BenchEnv env(static_cast<int>(argv.size()), argv.data(), 1.0);
+    Table result({"delta", "privacy"});
+    result.AddRow({"0.5", "0.75"});
+    env.Emit(result, "digests_result", "result");
+    Table timing({"phase", "ms"});
+    timing.AddRow({"work", std::to_string(10 + run)});
+    env.EmitTiming(timing, "digests_timing", "timing");
+  }
+  Result<RunReport> report = RunReport::Load(report_path);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? *report : RunReport{};
+}
+
+const RunReport::OutputDigest* FindOutput(const RunReport& report, const std::string& name) {
+  for (const RunReport::OutputDigest& out : report.outputs) {
+    if (out.name == name) return &out;
+  }
+  return nullptr;
+}
+
+TEST(DiffReportsTest, TimingTablesCarryNoDigestAndResultTablesKeepTheirs) {
+  const RunReport first = BenchRunReport(TempPath("digests_a"), 1);
+  const RunReport second = BenchRunReport(TempPath("digests_b"), 2);
+  for (const RunReport* report : {&first, &second}) {
+    const RunReport::OutputDigest* result = FindOutput(*report, "digests_result");
+    const RunReport::OutputDigest* timing = FindOutput(*report, "digests_timing");
+    ASSERT_NE(result, nullptr);
+    ASSERT_NE(timing, nullptr);
+    EXPECT_EQ(result->fnv1a.size(), 16u) << "a result CSV keeps its digest";
+    EXPECT_TRUE(timing->fnv1a.empty()) << "a timing CSV is listed without a digest";
+    EXPECT_GT(timing->bytes, 0u);
+    EXPECT_TRUE(ValidateReportJson(report->ToJson()).ok());
+  }
+  EXPECT_EQ(FindOutput(first, "digests_result")->fnv1a,
+            FindOutput(second, "digests_result")->fnv1a);
+
+  // Two runs that differ only in their timings pass the digest check...
+  DiffOptions strict;
+  strict.check_digests = true;
+  strict.min_ms = 1e9;  // isolate the digest check from phase timings
+  ReportDiff same = DiffReports(first, second, strict);
+  EXPECT_TRUE(same.digest_mismatches.empty());
+  EXPECT_FALSE(same.regressed);
+
+  // ...a changed result digest fails it...
+  RunReport altered = second;
+  for (RunReport::OutputDigest& out : altered.outputs) {
+    if (out.name == "digests_result") out.fnv1a = "0000000000000000";
+  }
+  ReportDiff changed = DiffReports(first, altered, strict);
+  ASSERT_EQ(changed.digest_mismatches.size(), 1u);
+  EXPECT_EQ(changed.digest_mismatches[0], "digests_result");
+  EXPECT_TRUE(changed.regressed);
+
+  // ...and a baseline that still digested a timing table is not compared
+  // against a current run that no longer does.
+  RunReport digested_baseline = first;
+  for (RunReport::OutputDigest& out : digested_baseline.outputs) {
+    if (out.name == "digests_timing") out.fnv1a = "aaaaaaaaaaaaaaaa";
+  }
+  EXPECT_FALSE(DiffReports(digested_baseline, second, strict).regressed);
 }
 
 }  // namespace

@@ -208,6 +208,21 @@ TEST(StatBenchTest, BuildsDifferNoteNamesBothBuilds) {
   EXPECT_EQ(Stat("bench " + cur + " " + cur).out.find("builds differ"), std::string::npos);
 }
 
+TEST(StatBenchTest, DroppedTraceEventsPrintANoteButNeverRegress) {
+  RunReport dropped = BenchReport(100.0);
+  dropped.trace_dropped = 1234;
+  const std::string base = WriteReport("bench_kept", BenchReport(100.0));
+  const std::string cur = WriteReport("bench_dropped", dropped);
+  const StatRun run = Stat("bench " + base + " " + cur);
+  EXPECT_EQ(run.code, 0) << run.err;
+  EXPECT_NE(run.out.find("\n(trace events dropped: baseline 0, current 1234)\n"),
+            std::string::npos)
+      << run.out;
+  // Nothing dropped on either side prints no note.
+  EXPECT_EQ(Stat("bench " + base + " " + base).out.find("trace events dropped"),
+            std::string::npos);
+}
+
 // ---- prof ----
 
 TEST(StatProfTest, RendersDiffsAndRejectsBadInput) {

@@ -8,7 +8,9 @@
 //   $ ppdp_stat prom  [flags] [scrape.txt ...]          (stdin without files)
 //
 // bench  Diffs the per-phase wall-time totals (and, with --mem_threshold,
-//        peak RSS) of two BENCH_<name>.json run reports.
+//        peak RSS) of two BENCH_<name>.json run reports; --check_digests
+//        also fails on a differing result-CSV digest (timing tables carry
+//        none). Notes dropped trace events when either report has any.
 //          --threshold X (0.25)  --min_ms X (5)  --mem_threshold X (0 = off)
 //          --min_mem_mb X (16)  --check_digests  --validate_only
 // prof   One ppdp.profile.v1 file: validate and print the phase and
@@ -293,6 +295,10 @@ int RunBench(const Args& args) {
                current.build.compiler, &notes);
   for (const std::string& name : diff.digest_mismatches) {
     notes.push_back("(output digest differs: " + name + ")");
+  }
+  if (baseline.trace_dropped > 0 || current.trace_dropped > 0) {
+    notes.push_back("(trace events dropped: baseline " + std::to_string(baseline.trace_dropped) +
+                    ", current " + std::to_string(current.trace_dropped) + ")");
   }
   // SLO attainment is informational here, never a perf gate: pre-v10
   // baselines carry no stanza, and an unmet SLO in a bench run is judged by
